@@ -3,16 +3,16 @@
 Words of distinct vertices modulo commutation of non-adjacent letters form a
 ranked simplicial poset, the boolean ideal; its cell complex realises a wedge
 of top-dimensional spheres.  This package enumerates the ideal, counts the
-spheres four independent ways (edge recursion, Euler characteristic, covering
-edge subsets, GF(2) homology), builds the anchored acyclic matchings behind
-the count, and extracts explicit mod-2 generating cycles.
+spheres five independent ways (edge recursion, Euler characteristic, covering
+edge subsets, GF(2) homology, unmatched cells of an anchored acyclic
+matching), builds those matchings, and extracts explicit mod-2 generating
+cycles.  The named families and the routes are each one table in ``beta``.
 """
 
 from .graph import (
     CANONICAL_KEY_LIMIT,
     CanonicalKeyLimitError,
     FamilyError,
-    FamilySpec,
     Graph,
     GraphError,
     InvalidEdgeError,
@@ -20,7 +20,6 @@ from .graph import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
-    family_graph,
     format_edge_list,
     parse_edge_list,
     path_graph,
@@ -46,6 +45,7 @@ from .beta import (
     BetaResult,
     CrossCheckError,
     CrossCheckReport,
+    FamilySpec,
     beta_complete,
     beta_euler,
     beta_family,
@@ -53,6 +53,7 @@ from .beta import (
     beta_subset_formula,
     cross_check,
     cycle_count,
+    family_graph,
     fibonacci,
     spanning_forest_count,
 )

@@ -11,28 +11,38 @@ graph G is homotopy equivalent to a wedge of beta(G) spheres of dimension
 * the covering-edge-subset sum  sum_{B <= E, V(B) = V} (-1)^(n + |B| - k(B));
 * (via the morse and homology modules) unmatched-cell and kernel-rank counts.
 
-Closed forms for the named families and the complete-graph derangement
-recurrence live here too, as does the loud cross-check over all methods.
+``FAMILIES`` holds one row per named family, read by ``resolve_family``,
+``family_graph`` and ``beta_family``; ``ROUTES`` one row per route, looped
+over by the loud ``cross_check`` and indexed by the CLI's ``beta --method``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .graph import (
     CANONICAL_KEY_LIMIT,
-    FamilySpec,
+    FamilyError,
     Graph,
     GraphError,
-    resolve_family,
+    complete_graph,
+    cycle_graph,
+    double_fork_graph,
+    edgeless_graph,
+    forked_path_graph,
+    path_graph,
+    star_graph,
+    tshape_graph,
 )
-from .ideal import BudgetError, DEFAULT_BUDGET, euler_characteristic
+from .ideal import BudgetError, DEFAULT_BUDGET, enumerate_ideal, euler_characteristic
 
 #: 2^24 covering subsets is the most the brute-force subset sum will walk.
 SUBSET_EDGE_CAP = 24
 
-#: Largest graph whose homology is computed in a cross-check.
+#: Largest graph whose homology (dense GF(2) elimination in every rank) is
+#: computed: the homology module's cap and the homology and morse routes' range.
 HOMOLOGY_VERTEX_CAP = 7
 
 
@@ -216,41 +226,114 @@ def beta_complete(n):
     return prev1
 
 
-_FIXED_FAMILY_BETA = {
-    "F4": 2, "G2": 1, "H3": 1, "H4": 2, "I2": 1,
-    "affineF4": 3, "affineG2": 1,
+# ----------------------------------------------------------------------
+# the family table: one row per named family
+
+@dataclass(frozen=True)
+class Family:
+    """A named family: valid ranks (as a test and in words), the graph of rank
+    n, its closed-form sphere count, and the rank a bare name implies."""
+
+    valid: Callable[[int], bool]
+    ranks: str
+    build: Callable[[int], Graph]
+    beta: Callable[[int], int]
+    implied_rank: int | None = None
+
+
+def _from_rank(k, build, beta):
+    """A family with every rank n >= k."""
+    return Family(lambda n: n >= k, f"n >= {k}", build, beta)
+
+
+def _fixed(rank, path_vertices, beta):
+    """A family with a single rank, whose graph is a path."""
+    return Family(lambda n: n == rank, str(rank), lambda n: path_graph(path_vertices),
+                  lambda n: beta, rank)
+
+
+FAMILIES = {
+    "A": _from_rank(1, path_graph, lambda n: fibonacci(n - 1)),
+    "B": _from_rank(2, path_graph, lambda n: fibonacci(n - 1)),
+    "D": _from_rank(3, forked_path_graph, lambda n: fibonacci(n - 2)),
+    "E": Family(lambda n: n in (6, 7, 8), "n in {6, 7, 8}",
+                lambda n: tshape_graph(n - 4, 2, 1), {6: 4, 7: 6, 8: 10}.__getitem__),
+    "F4": _fixed(4, 4, beta=2),
+    "G2": _fixed(2, 2, beta=1),
+    "H3": _fixed(3, 3, beta=1),
+    "H4": _fixed(4, 4, beta=2),
+    "I2": Family(lambda n: n >= 2, "any m >= 2", lambda n: path_graph(2), lambda n: 1, 2),
+    "affineA": _from_rank(1, lambda n: path_graph(2) if n == 1 else cycle_graph(n + 1),
+                          cycle_count),
+    "affineB": _from_rank(3, forked_path_graph, lambda n: fibonacci(n - 2)),
+    "affineC": _from_rank(2, path_graph, lambda n: fibonacci(n - 1)),
+    "affineD": _from_rank(5, double_fork_graph, lambda n: fibonacci(n - 3)),
+    "affineE": Family(lambda n: n in (6, 7, 8), "n in {6, 7, 8}",
+                      lambda n: tshape_graph(*{6: (2, 2, 2), 7: (3, 3, 1), 8: (5, 2, 1)}[n]),
+                      {6: 7, 7: 9, 8: 16}.__getitem__),
+    "affineF4": _fixed(4, 5, beta=3),
+    "affineG2": _fixed(2, 3, beta=1),
+    "K": _from_rank(1, complete_graph, beta_complete),
+    "S": _from_rank(2, star_graph, lambda n: 1),
+    "delta": _from_rank(1, edgeless_graph, lambda n: 0),
+    "path": _from_rank(1, path_graph, lambda n: fibonacci(n - 1)),
+    "cycle": _from_rank(3, cycle_graph, lambda n: cycle_count(n - 1)),
 }
-_E_BETA = {6: 4, 7: 6, 8: 10}
-_AFFINE_E_BETA = {6: 7, 7: 9, 8: 16}
+
+_FAMILY_NAMES = {name.lower(): name for name in FAMILIES}
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """A named graph family plus its rank parameter (where applicable)."""
+
+    family: str
+    n: int | None = None
+
+    @classmethod
+    def parse(cls, text):
+        """Parse "NAME" or "NAME:n" (names case-insensitive, e.g. "affineD:6")."""
+        name, sep, rank = text.partition(":")
+        key = name.strip().lower()
+        if key not in _FAMILY_NAMES:
+            raise FamilyError(f"unknown family {name!r}")
+        if not sep:
+            return cls(_FAMILY_NAMES[key], None)
+        try:
+            return cls(_FAMILY_NAMES[key], int(rank))
+        except ValueError:
+            raise FamilyError(f"bad rank in family spec {text!r}") from None
+
+    def __str__(self):
+        return self.family if self.n is None else f"{self.family}:{self.n}"
+
+
+def resolve_family(spec):
+    """Return (canonical family name, effective n) for a spec or "NAME:n"."""
+    if isinstance(spec, str):
+        spec = FamilySpec.parse(spec)
+    family = _FAMILY_NAMES.get(spec.family.lower())
+    if family is None:
+        raise FamilyError(f"unknown family {spec.family!r}")
+    row = FAMILIES[family]
+    n = spec.n if spec.n is not None else row.implied_rank
+    if n is None:
+        raise FamilyError(f"family {family} needs a rank, e.g. {family}:4")
+    if not row.valid(n):
+        raise FamilyError(f"family {family} needs n {row.ranks}, got {n}")
+    return family, n
+
+
+def family_graph(spec):
+    """Build the named family member.  Accepts a FamilySpec or "NAME:n"."""
+    family, n = resolve_family(spec)
+    return FAMILIES[family].build(n)
 
 
 def beta_family(spec):
     """Closed-form sphere count for a named family member."""
-    if isinstance(spec, str):
-        spec = FamilySpec.parse(spec)
     family, n = resolve_family(spec)
-    if family in _FIXED_FAMILY_BETA:
-        return _FIXED_FAMILY_BETA[family]
-    if family in ("A", "B", "path", "affineC"):
-        return fibonacci(n - 1)
-    if family in ("D", "affineB"):
-        return fibonacci(n - 2)
-    if family == "affineD":
-        return fibonacci(n - 3)
-    if family == "E":
-        return _E_BETA[n]
-    if family == "affineE":
-        return _AFFINE_E_BETA[n]
-    if family == "affineA":
-        return cycle_count(n)
-    if family == "cycle":
-        return cycle_count(n - 1)
-    if family == "K":
-        return beta_complete(n)
-    if family == "S":
-        return 1
-    assert family == "delta"
-    return 0
+    return FAMILIES[family].beta(n)
 
 
 def spanning_forest_count(tree):
@@ -303,29 +386,57 @@ class CrossCheckError(RuntimeError):
         super().__init__(f"method disagreement: {report.values}")
 
 
-def cross_check(graph, at_vertex=None, memo=None):
-    """Run every applicable method (recursion, Euler, subset sum, top-degree
-    GF(2) homology rank, unmatched count of a matching) and compare."""
-    from . import homology, morse  # local import: those modules build on this one
+def _homology_route(graph, budget, anchor, memo):
+    from . import homology  # local import: homology builds on this module
+    enumerate_ideal(graph, budget)  # the route's sub-ideals are no larger
+    return homology.top_betti(graph)
 
+
+def _morse_route(graph, budget, anchor, memo):
+    from . import morse  # local import: morse builds on this module
+    enumerate_ideal(graph, budget)  # the route's sub-ideals are no larger
+    anchor = anchor if anchor is not None else graph.vertices[0]
+    return len(morse.build_h_matching(graph, anchor).unmatched_maximal)
+
+
+def _homology_in_range(graph):
+    return len(graph) <= HOMOLOGY_VERTEX_CAP
+
+
+@dataclass(frozen=True)
+class Route:
+    """``value(graph, budget, anchor, memo)`` counts (anchor, memo may be None);
+    ``fits(graph)`` is False outside the route's range.  ``value`` looks its
+    route function up when called, so a rebound module attribute is used."""
+
+    value: Callable[..., int]
+    fits: Callable[[Graph], bool] = lambda graph: True
+
+
+#: Every route, in the order cross_check runs and reports them.
+ROUTES = {
+    "recursion": Route(lambda g, budget, anchor, memo: beta_recursive(g, memo).value),
+    "euler": Route(lambda g, budget, anchor, memo: beta_euler(g, budget).value),
+    "subset_formula": Route(lambda g, budget, anchor, memo: beta_subset_formula(g).value,
+                            lambda g: len(g.edges) <= SUBSET_EDGE_CAP),
+    "homology": Route(_homology_route, _homology_in_range),
+    "morse": Route(_morse_route, _homology_in_range),
+}
+
+
+def cross_check(graph, at_vertex=None, memo=None, budget=DEFAULT_BUDGET):
+    """Run every route of ``ROUTES`` (morse anchored at ``at_vertex``) and
+    compare; a route that does not fit or exceeds ``budget`` is skipped."""
     values = {}
     skipped = []
-    values["recursion"] = beta_recursive(graph, memo).value
-    try:
-        values["euler"] = beta_euler(graph).value
-    except BudgetError:
-        skipped.append("euler")
-    if len(graph.edges) <= SUBSET_EDGE_CAP:
-        values["subset_formula"] = beta_subset_formula(graph).value
-    else:
-        skipped.append("subset_formula")
-    if len(graph) <= HOMOLOGY_VERTEX_CAP and "euler" in values:
-        values["homology"] = homology.top_betti(graph)
-        s = at_vertex if at_vertex is not None else graph.vertices[0]
-        matching = morse.build_h_matching(graph, s)
-        values["morse"] = len(matching.unmatched_maximal)
-    else:
-        skipped.extend(["homology", "morse"])
+    for name, route in ROUTES.items():
+        if not route.fits(graph):
+            skipped.append(name)
+            continue
+        try:
+            values[name] = route.value(graph, budget, at_vertex, memo)
+        except BudgetError:
+            skipped.append(name)
     report = CrossCheckReport(graph, values, tuple(skipped))
     if not report.agree:
         raise CrossCheckError(report)

@@ -16,21 +16,15 @@ import sys
 
 from . import homology, morse
 from .beta import (
+    ROUTES,
     CrossCheckError,
-    beta_euler,
-    beta_family,
-    beta_recursive,
-    beta_subset_formula,
-    cross_check,
-)
-from .graph import (
     FamilySpec,
-    Graph,
-    GraphError,
+    beta_family,
+    cross_check,
     family_graph,
-    parse_edge_list,
     resolve_family,
 )
+from .graph import GraphError, isomorphism_classes, parse_edge_list
 from .ideal import (
     BudgetError,
     DEFAULT_BUDGET,
@@ -45,15 +39,6 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
-_METHODS = {
-    "recursion": lambda g, budget: beta_recursive(g).value,
-    "euler": lambda g, budget: beta_euler(g, budget).value,
-    "subset_formula": lambda g, budget: beta_subset_formula(g).value,
-    "homology": lambda g, budget: homology.top_betti(g),
-    "morse": lambda g, budget: len(
-        morse.build_h_matching(g, g.vertices[0]).unmatched_maximal
-    ),
-}
 _METHOD_ALIASES = {"subset": "subset_formula", "rec": "recursion"}
 
 
@@ -81,7 +66,7 @@ def build_parser():
     add_common(p)
     p.add_argument(
         "--method", default="recursion",
-        help="comma list of recursion,euler,subset_formula,homology,morse",
+        help="comma list of " + ",".join(ROUTES),
     )
 
     p = sub.add_parser("chi", help="Euler characteristic and the implied sphere count")
@@ -161,10 +146,10 @@ def _cmd_beta(args):
     for raw in args.method.split(","):
         name = raw.strip()
         name = _METHOD_ALIASES.get(name, name)
-        if name not in _METHODS:
+        if name not in ROUTES:
             raise GraphError(f"unknown method {raw!r}")
         names.append(name)
-    values = {name: _METHODS[name](graph, args.budget) for name in names}
+    values = {name: ROUTES[name].value(graph, args.budget, None, None) for name in names}
     lines = _describe_graph(graph, mapping)
     lines += [f"beta[{name}] = {value}" for name, value in values.items()]
     _emit(args, {"command": "beta", "graph": _graph_json(graph), "beta": values}, lines)
@@ -211,8 +196,9 @@ def _cmd_enumerate(args):
 def _cmd_matching(args):
     graph, mapping = _load_graph(args)
     anchor = args.at_vertex if args.at_vertex is not None else graph.vertices[0]
-    matching = morse.build_h_matching(graph, anchor)
+    # enumerate first: the budget then bounds the build, whose sub-ideals are no larger
     ideal = enumerate_ideal(graph, args.budget)
+    matching = morse.build_h_matching(graph, anchor)
     acyclic = morse.verify_acyclic(matching, ideal)
     report = morse.verify_h_properties(matching, ideal)
     lines = _describe_graph(graph, mapping)
@@ -238,6 +224,7 @@ def _cmd_matching(args):
 
 def _cmd_homology(args):
     graph, mapping = _load_graph(args)
+    enumerate_ideal(graph, args.budget)  # the budget guard, before any work
     betti = homology.betti_gf2(graph)
     lines = _describe_graph(graph, mapping)
     lines.append("reduced Betti numbers: " + " ".join(map(str, betti)))
@@ -283,34 +270,16 @@ def _cmd_family(args):
     return EXIT_OK
 
 
-def _sweep_graphs(max_vertices):
-    """One representative per isomorphism class on 1..max_vertices vertices."""
-    seen = set()
-    out = []
-    for n in range(1, max_vertices + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for mask in range(1 << len(pairs)):
-            g = Graph(
-                edges=[e for i, e in enumerate(pairs) if (mask >> i) & 1],
-                vertices=range(n),
-            )
-            key = g.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(g)
-    return out
-
-
 def _cmd_crosscheck(args):
     if args.sweep is not None:
-        if args.sweep > 6:
-            raise GraphError("sweep is exhaustive; 6 vertices is the supported cap")
-        graphs = _sweep_graphs(args.sweep)
+        if not 1 <= args.sweep <= 6:
+            raise GraphError(f"--sweep N is exhaustive; N must be 1 to 6, got {args.sweep}")
+        graphs = isomorphism_classes(args.sweep)
         memo = {}
         rows = []
         try:
             for g in graphs:
-                rows.append(cross_check(g, memo=memo))
+                rows.append(cross_check(g, memo=memo, budget=args.budget))
         except CrossCheckError as exc:
             _emit_mismatch(args, exc)
             return EXIT_MISMATCH
@@ -326,7 +295,7 @@ def _cmd_crosscheck(args):
 
     graph, mapping = _load_graph(args)
     try:
-        report = cross_check(graph)
+        report = cross_check(graph, budget=args.budget)
     except CrossCheckError as exc:
         _emit_mismatch(args, exc)
         return EXIT_MISMATCH

@@ -7,15 +7,14 @@ surviving vertices.  In particular contracting the edge {s, t} keeps
 ``min(s, t)`` as the label of the merged vertex, which the word-poset
 machinery downstream relies on.
 
-The module also houses the registry of named graph families (paths, forked
-paths, double forks, T-shapes, cycles, complete graphs, stars, edgeless
-graphs), exact canonical keys for isomorphism-keyed memoisation, and a plain
-text edge-list format.
+The module also has the plain constructors behind the named families (paths,
+forked paths, double forks, T-shapes, cycles, complete graphs, stars,
+edgeless graphs; the family table itself is in ``beta``), exact canonical
+keys for isomorphism-keyed memoisation, one representative per isomorphism
+class for exhaustive sweeps, and a plain text edge-list format.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MAX_LABEL = 63
 
@@ -340,7 +339,7 @@ class Graph:
 
 
 # ----------------------------------------------------------------------
-# named families
+# graphs by shape (the family table in ``beta`` names them)
 
 def path_graph(n):
     return Graph(edges=[(i, i + 1) for i in range(n - 1)], vertices=range(n))
@@ -393,88 +392,21 @@ def tshape_graph(a, b, c):
     return Graph(edges=edges, vertices=range(v + 1))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family plus its rank parameter (where applicable)."""
-
-    family: str
-    n: int | None = None
-
-    @classmethod
-    def parse(cls, text):
-        """Parse "NAME" or "NAME:n" (names case-insensitive, e.g. "affineD:6")."""
-        name, sep, rank = text.partition(":")
-        key = name.strip().lower()
-        if key not in _FAMILY_NAMES:
-            raise FamilyError(f"unknown family {name!r}")
-        if not sep:
-            return cls(_FAMILY_NAMES[key], None)
-        try:
-            return cls(_FAMILY_NAMES[key], int(rank))
-        except ValueError:
-            raise FamilyError(f"bad rank in family spec {text!r}") from None
-
-    def __str__(self):
-        return self.family if self.n is None else f"{self.family}:{self.n}"
-
-
-# family -> (validity predicate, description of valid n, builder)
-_FAMILIES = {
-    "A": (lambda n: n >= 1, "n >= 1", path_graph),
-    "B": (lambda n: n >= 2, "n >= 2", path_graph),
-    "D": (lambda n: n >= 3, "n >= 3", forked_path_graph),
-    "E": (lambda n: n in (6, 7, 8), "n in {6, 7, 8}",
-          lambda n: tshape_graph(n - 4, 2, 1)),
-    "F4": (lambda n: n == 4, "4", lambda n: path_graph(4)),
-    "G2": (lambda n: n == 2, "2", lambda n: path_graph(2)),
-    "H3": (lambda n: n == 3, "3", lambda n: path_graph(3)),
-    "H4": (lambda n: n == 4, "4", lambda n: path_graph(4)),
-    "I2": (lambda n: n >= 2, "any m >= 2", lambda n: path_graph(2)),
-    "affineA": (lambda n: n >= 1, "n >= 1",
-                lambda n: path_graph(2) if n == 1 else cycle_graph(n + 1)),
-    "affineB": (lambda n: n >= 3, "n >= 3", forked_path_graph),
-    "affineC": (lambda n: n >= 2, "n >= 2", path_graph),
-    "affineD": (lambda n: n >= 5, "n >= 5", double_fork_graph),
-    "affineE": (lambda n: n in (6, 7, 8), "n in {6, 7, 8}",
-                lambda n: tshape_graph(*{6: (2, 2, 2), 7: (3, 3, 1), 8: (5, 2, 1)}[n])),
-    "affineF4": (lambda n: n == 4, "4", lambda n: path_graph(5)),
-    "affineG2": (lambda n: n == 2, "2", lambda n: path_graph(3)),
-    "K": (lambda n: n >= 1, "n >= 1", complete_graph),
-    "S": (lambda n: n >= 2, "n >= 2", star_graph),
-    "delta": (lambda n: n >= 1, "n >= 1", edgeless_graph),
-    "path": (lambda n: n >= 1, "n >= 1", path_graph),
-    "cycle": (lambda n: n >= 3, "n >= 3", cycle_graph),
-}
-
-_FAMILY_NAMES = {name.lower(): name for name in _FAMILIES}
-
-# families whose rank is fixed; FamilySpec may omit n for these
-_IMPLIED_RANK = {"F4": 4, "G2": 2, "H3": 3, "H4": 4, "I2": 2,
-                 "affineF4": 4, "affineG2": 2}
-
-
-def resolve_family(spec):
-    """Return (canonical family name, effective n) for a FamilySpec."""
-    family = _FAMILY_NAMES.get(spec.family.lower())
-    if family is None:
-        raise FamilyError(f"unknown family {spec.family!r}")
-    n = spec.n
-    if n is None:
-        n = _IMPLIED_RANK.get(family)
-        if n is None:
-            raise FamilyError(f"family {family} needs a rank, e.g. {family}:4")
-    valid, desc, _ = _FAMILIES[family]
-    if not valid(n):
-        raise FamilyError(f"family {family} needs n {desc}, got {n}")
-    return family, n
-
-
-def family_graph(spec):
-    """Build the named family member.  Accepts a FamilySpec or "NAME:n"."""
-    if isinstance(spec, str):
-        spec = FamilySpec.parse(spec)
-    family, n = resolve_family(spec)
-    return _FAMILIES[family][2](n)
+def isomorphism_classes(max_vertices):
+    """One representative per isomorphism class on 1..max_vertices vertices:
+    the first of each class among edge subsets of 0..n-1, in binary order."""
+    seen = set()
+    out = []
+    for n in range(1, max_vertices + 1):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = Graph(edges=[e for i, e in enumerate(pairs) if (mask >> i) & 1],
+                      vertices=range(n))
+            key = g.canonical_key()
+            if key not in seen:
+                seen.add(key)
+                out.append(g)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .beta import fibonacci
-from .graph import Graph, GraphError
+from .beta import HOMOLOGY_VERTEX_CAP, fibonacci
+from .graph import Graph, GraphError, _bits
 from .ideal import (
     BooleanIdeal,
     BudgetError,
@@ -32,11 +32,6 @@ from .ideal import (
     normalize,
     parse_word,
 )
-
-#: Full Betti vectors use dense elimination in every rank; complete graphs
-#: grow factorially, so cap the exact computation at this many vertices.
-BETTI_VERTEX_CAP = 7
-
 
 @dataclass(frozen=True)
 class Gf2Chain:
@@ -70,7 +65,7 @@ class Gf2Matrix:
     def rows(self):
         out = [0] * self.n_rows
         for j, col in enumerate(self.columns):
-            for i in _bit_positions(col):
+            for i in _bits(col):
                 out[i] |= 1 << j
         return out
 
@@ -79,13 +74,6 @@ class Gf2Matrix:
 
     def column_weights(self):
         return [col.bit_count() for col in self.columns]
-
-
-def _bit_positions(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +168,7 @@ def boundary_matrix(ideal, k):
     return Gf2ChainComplex(ideal).matrix(k)
 
 
-def betti_gf2(graph, max_vertices=BETTI_VERTEX_CAP):
+def betti_gf2(graph, max_vertices=HOMOLOGY_VERTEX_CAP):
     """Reduced mod-2 Betti numbers (b0, ..., b_top), augmentation included."""
     if len(graph) > max_vertices:
         raise BudgetError(
@@ -205,7 +193,7 @@ def top_betti(graph):
     return len(cols) - gf2_rank(cols)
 
 
-def top_cycle_basis(graph, max_vertices=BETTI_VERTEX_CAP):
+def top_cycle_basis(graph, max_vertices=HOMOLOGY_VERTEX_CAP):
     """Canonical basis of the top-degree cycle space: the reduced-echelon
     form of ker(top boundary) in normal-form cell order."""
     if len(graph) > max_vertices:
@@ -221,7 +209,7 @@ def top_cycle_basis(graph, max_vertices=BETTI_VERTEX_CAP):
     else:
         vectors = gf2_kernel(Gf2ChainComplex(ideal).boundary(top))
     return [
-        Gf2Chain(top, frozenset(cells[i] for i in _bit_positions(vec)))
+        Gf2Chain(top, frozenset(cells[i] for i in _bits(vec)))
         for vec in gf2_rref(vectors)
     ]
 
@@ -325,7 +313,7 @@ def an_fixture_suite():
         covered = 0
         for combo in range(1, 1 << len(masks)):
             acc = 0
-            for i in _bit_positions(combo):
+            for i in _bits(combo):
                 acc ^= masks[i]
             covered |= acc
         covers = covered == (1 << len(cells)) - 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .graph import GraphError, UnknownVertexError
+from .graph import GraphError, UnknownVertexError, _bits
 
 #: Guard against runaway enumerations (complete graphs blow up factorially;
 #: 9 letters with no commutations is just under a million maximal cells).
@@ -175,14 +175,7 @@ def admits_adjacent_pair(word, edge, graph):
                 acc |= (1 << j) | reach[j]
         reach[i] = acc
     between = reach[si] & ~(1 << ti)
-    return all((reach[p] >> ti) & 1 == 0 for p in _bit_positions(between))
-
-
-def _bit_positions(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return all((reach[p] >> ti) & 1 == 0 for p in _bits(between))
 
 
 # ----------------------------------------------------------------------

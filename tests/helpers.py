@@ -14,6 +14,7 @@ from itertools import combinations
 import networkx as nx
 
 from booleancomplex import Graph
+from booleancomplex.graph import isomorphism_classes
 
 
 def to_networkx(graph):
@@ -35,15 +36,7 @@ def all_labeled_graphs(n):
 @lru_cache(maxsize=None)
 def iso_classes(max_vertices):
     """One representative per isomorphism class on 1..max_vertices vertices."""
-    seen = set()
-    out = []
-    for n in range(1, max_vertices + 1):
-        for g in all_labeled_graphs(n):
-            key = g.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(g)
-    return tuple(out)
+    return tuple(isomorphism_classes(max_vertices))
 
 
 def random_graph(rng: random.Random, n, p=0.5):

@@ -8,6 +8,8 @@ import pytest
 from booleancomplex import (
     BudgetError,
     CrossCheckError,
+    FamilyError,
+    FamilySpec,
     Graph,
     GraphError,
     beta_complete,
@@ -19,12 +21,13 @@ from booleancomplex import (
     cross_check,
     cycle_count,
     edgeless_graph,
+    family_graph,
     fibonacci,
     path_graph,
     spanning_forest_count,
     star_graph,
 )
-from booleancomplex.beta import lucas, _pick_edge
+from booleancomplex.beta import FAMILIES, lucas, resolve_family, _pick_edge
 from helpers import iso_classes, random_graph, random_tree
 
 MEMO = {}  # shared across this module: keyed by canonical key, label-blind
@@ -131,6 +134,29 @@ def test_family_closed_forms():
     assert beta_family("S:6") == 1
     assert beta_family("delta:4") == 0
     assert beta_family("cycle:4") == cycle_count(3) == 5
+
+
+def test_family_table_closed_forms_match_recursion():
+    """Every row of the family table, at every valid rank whose graph has at
+    most 10 vertices: the closed form equals the edge recursion, and the
+    bare name resolves exactly when the row implies a rank."""
+    checked = 0
+    for name, row in FAMILIES.items():
+        for n in range(1, 12):
+            if not row.valid(n):
+                continue
+            spec = FamilySpec(name, n)
+            g = family_graph(spec)
+            if len(g) <= 10:
+                assert beta_recursive(g, MEMO).value == beta_family(spec), spec
+                checked += 1
+        if row.implied_rank is None:
+            with pytest.raises(FamilyError):
+                resolve_family(FamilySpec(name))
+        else:
+            assert resolve_family(FamilySpec(name)) == (name, row.implied_rank)
+            assert beta_family(name) == beta_family(FamilySpec(name, row.implied_rank))
+    assert checked > 100
 
 
 def test_family_closed_form_rejects_bad_specs():
@@ -265,3 +291,6 @@ def test_cross_check_skips_over_budget_methods():
     assert "subset_formula" in report.skipped
     assert "homology" in report.skipped
     assert report.values["recursion"] == beta_complete(8)
+    report = cross_check(complete_graph(7), budget=100)  # 13,699 elements
+    assert report.skipped == ("euler", "homology", "morse")
+    assert report.values == {"recursion": 1854, "subset_formula": 1854}

@@ -85,6 +85,13 @@ def test_homology_cycles(capsys):
     assert data["top_cycles"] == [["01", "10"]]
 
 
+def test_budget_binds_every_enumerating_command(capsys):
+    for argv in (["homology"], ["matching"], ["beta", "--method", "homology"],
+                 ["beta", "--method", "morse"]):
+        assert run(argv + ["--family", "K:7", "--budget", "100"]) == EXIT_BUDGET, argv
+        assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_family_report(capsys):
     code, data = run_json(capsys, ["family", "--family", "E:8"])
     assert code == EXIT_OK
@@ -110,6 +117,19 @@ def test_crosscheck_sweep_five_vertices_exits_zero(capsys):
     code, data = run_json(capsys, ["crosscheck", "--sweep", "5"])
     assert code == EXIT_OK
     assert data["classes"] == 52 and data["agree"] is True
+
+
+def test_crosscheck_sweep_out_of_range_is_parse_error(capsys):
+    for value in ("0", "-3", "7"):
+        assert run(["crosscheck", "--sweep", value]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+
+def test_crosscheck_skips_routes_over_budget(capsys):
+    code, data = run_json(capsys, ["crosscheck", "--family", "K:7", "--budget", "100"])
+    assert code == EXIT_OK
+    assert data["skipped"] == ["euler", "homology", "morse"]
+    assert data["values"] == {"recursion": 1854, "subset_formula": 1854}
 
 
 def test_crosscheck_mismatch_exit(capsys, monkeypatch):
