@@ -10,8 +10,6 @@ cycles.  The named families and the routes are each one table in ``beta``.
 """
 
 from .graph import (
-    CANONICAL_KEY_LIMIT,
-    CanonicalKeyLimitError,
     FamilyError,
     Graph,
     GraphError,

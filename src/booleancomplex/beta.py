@@ -23,7 +23,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .graph import (
-    CANONICAL_KEY_LIMIT,
     FamilyError,
     Graph,
     GraphError,
@@ -77,9 +76,10 @@ def _pick_edge(graph):
 def beta_recursive(graph, memo=None):
     """Sphere count by the deletion / contraction / extraction recursion.
 
-    ``memo`` may be a dict shared across calls; it is keyed by canonical
-    (isomorphism) keys, so relabelled repeats are free.  Graphs above the
-    canonicalisation limit are recursed without memoisation.
+    The value depends only on the unlabeled graph, so every connected
+    subproblem of three or more vertices is memoised under its canonical
+    (isomorphism) key, at every size.  ``memo`` may be a dict shared across
+    calls, so relabelled repeats are free.
     """
     if len(graph) == 0:
         raise GraphError("beta is defined for nonempty graphs")
@@ -100,13 +100,12 @@ def beta_recursive(graph, memo=None):
             return math.prod(rec(c) for c in comps)
         if n == 2:
             return 1  # connected two-vertex graph is A2
-        key = g.canonical_key() if n <= CANONICAL_KEY_LIMIT else None
-        if key is not None and key in memo:
+        key = g.canonical_key()
+        if key in memo:
             return memo[key]
         e = _pick_edge(g)
         value = rec(g.delete_edge(e)) + rec(g.contract_edge(e)) + rec(g.extract_edge(e))
-        if key is not None:
-            memo[key] = value
+        memo[key] = value
         return value
 
     return BetaResult(rec(graph), "recursion", calls)

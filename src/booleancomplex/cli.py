@@ -195,7 +195,14 @@ def _cmd_enumerate(args):
 
 def _cmd_matching(args):
     graph, mapping = _load_graph(args)
-    anchor = args.at_vertex if args.at_vertex is not None else graph.vertices[0]
+    anchor = graph.vertices[0]
+    if args.at_vertex is not None:
+        # --at-vertex names an input label, like the mapping line
+        labels = mapping or {v: v for v in graph.vertices}
+        internal = {x: v for v, x in labels.items()}
+        if args.at_vertex not in internal:
+            raise GraphError(f"vertex {args.at_vertex} not in the input graph")
+        anchor = internal[args.at_vertex]
     # enumerate first: the budget then bounds the build, whose sub-ideals are no larger
     ideal = enumerate_ideal(graph, args.budget)
     matching = morse.build_h_matching(graph, anchor)
@@ -272,6 +279,8 @@ def _cmd_family(args):
 
 def _cmd_crosscheck(args):
     if args.sweep is not None:
+        if any(src is not None for src in (args.family, args.edges, args.file)):
+            raise GraphError("--sweep N checks its own graphs; drop --family / --edges / --file")
         if not 1 <= args.sweep <= 6:
             raise GraphError(f"--sweep N is exhaustive; N must be 1 to 6, got {args.sweep}")
         graphs = isomorphism_classes(args.sweep)

@@ -18,10 +18,6 @@ from __future__ import annotations
 
 MAX_LABEL = 63
 
-#: Largest graph that canonical_key will handle by default.  Beyond this the
-#: caller is expected to skip isomorphism-keyed memoisation.
-CANONICAL_KEY_LIMIT = 10
-
 
 class GraphError(ValueError):
     """Bad graph input (unknown vertex, invalid edge, malformed text...)."""
@@ -37,10 +33,6 @@ class UnknownVertexError(GraphError):
 
 class FamilyError(GraphError):
     """A family spec names an unknown family or an out-of-range rank."""
-
-
-class CanonicalKeyLimitError(GraphError):
-    """Graph too large for exact canonicalisation; skip memoisation."""
 
 
 def _bits(mask):
@@ -115,10 +107,6 @@ class Graph:
             out.extend((u, u + 1 + w) for w in _bits(higher))
         return out
 
-    @property
-    def edge_count(self):
-        return sum(self._adj[v].bit_count() for v in self._adj) // 2
-
     def neighbor_mask(self, v):
         try:
             return self._adj[v]
@@ -133,8 +121,6 @@ class Graph:
 
     def adjacent(self, u, v):
         return (self.neighbor_mask(u) >> self._check_label(v)) & 1 == 1
-
-    has_edge = adjacent
 
     def isolated_vertices(self):
         return tuple(v for v in _bits(self._vmask) if self._adj[v] == 0)
@@ -259,7 +245,7 @@ class Graph:
     # ------------------------------------------------------------------
     # canonical keys
 
-    def canonical_key(self, limit=CANONICAL_KEY_LIMIT):
+    def canonical_key(self):
         """Byte string equal for two graphs iff they are isomorphic.
 
         The key packs the lexicographically least adjacency bit string the
@@ -271,8 +257,6 @@ class Graph:
         exactly isomorphism.
         """
         n = len(self)
-        if n > limit:
-            raise CanonicalKeyLimitError(f"graph has {n} > {limit} vertices")
         if n == 0:
             return bytes([0])
         verts = self.vertices

@@ -130,12 +130,10 @@ def representatives(word, graph):
     yield from walk([])
 
 
-def trace_order(word, graph):
-    """The dependence partial order on letter positions.
-
-    Pairs (i, j) with i < j such that position i precedes position j in every
-    representative: the transitive closure of adjacent-in-the-graph pairs.
-    """
+def _reach(word, graph):
+    """Per position i, the bitmask of later positions j that i precedes in
+    every representative: the transitive closure of adjacent-in-the-graph
+    pairs, built from the right."""
     k = len(word)
     reach = [0] * k
     for i in range(k - 1, -1, -1):
@@ -145,9 +143,19 @@ def trace_order(word, graph):
             if (nbr >> word[j]) & 1:
                 acc |= (1 << j) | reach[j]
         reach[i] = acc
-    return frozenset(
-        (i, j) for i in range(k) for j in range(i + 1, k) if (reach[i] >> j) & 1
-    )
+    return reach
+
+
+def trace_order(word, graph):
+    """The dependence partial order on letter positions.
+
+    Pairs (i, j) with i < j such that position i precedes position j in every
+    representative.  Representatives are its linear extensions, so some
+    representative puts the letter at j before the one at i exactly when
+    (i, j) is not in the order.
+    """
+    reach = _reach(word, graph)
+    return frozenset((i, j) for i, mask in enumerate(reach) for j in _bits(mask))
 
 
 def admits_adjacent_pair(word, edge, graph):
@@ -165,15 +173,7 @@ def admits_adjacent_pair(word, edge, graph):
     si, ti = word.index(s), word.index(t)
     if si > ti:
         return False
-    k = len(word)
-    reach = [0] * k
-    for i in range(k - 1, -1, -1):
-        nbr = graph.neighbor_mask(word[i])
-        acc = 0
-        for j in range(i + 1, k):
-            if (nbr >> word[j]) & 1:
-                acc |= (1 << j) | reach[j]
-        reach[i] = acc
+    reach = _reach(word, graph)
     between = reach[si] & ~(1 << ti)
     return all((reach[p] >> ti) & 1 == 0 for p in _bits(between))
 

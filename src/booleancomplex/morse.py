@@ -13,7 +13,10 @@ H1  the unmatched elements are one rank-0 element plus top-rank elements
 H2  restricted to elements containing s, only maximal elements are unmatched,
     beta(G) + beta(G minus s) of them;
 H3  a matched pair (sigma, tau) with s in tau either appends s on the right
-    (tau = sigma * s) or deletes a letter writable strictly left of s.
+    (tau = sigma * s) or deletes a letter writable strictly left of s.  The
+    representatives of tau are the linear extensions of its dependence order
+    (``trace_order``), so d is writable left of s exactly when s does not
+    precede d in that order.
 
 The construction recurses along an edge e = {s, t}: the ideal splits into the
 block of elements writable as alpha-s-t-gamma and its complement; the
@@ -39,12 +42,9 @@ from .ideal import (
     format_word,
     normalize,
     parse_word,
+    trace_order,
     word_faces,
 )
-
-#: H3 is existential over representatives; the word-length cap keeps the
-#: exhaustive search finite-small.  Longer words are reported unchecked.
-H3_WORD_CAP = 9
 
 
 @dataclass(frozen=True)
@@ -292,17 +292,17 @@ def verify_acyclic(matching, ideal):
 
 @dataclass(frozen=True)
 class HReport:
-    """Outcome of the three anchored-matching properties.  h3 is None when
-    some matched word exceeded the representative-search cap."""
+    """Outcome of the three anchored-matching properties, each decided
+    exactly; ``failures`` describes every violation found."""
 
     h1: bool
     h2: bool
-    h3: bool | None
+    h3: bool
     failures: tuple[str, ...] = ()
 
     @property
     def all_hold(self):
-        return self.h1 and self.h2 and (self.h3 is not False)
+        return self.h1 and self.h2 and self.h3
 
 
 def verify_h_properties(matching, ideal):
@@ -349,45 +349,18 @@ def verify_h_properties(matching, ideal):
     for lo, up in matching.pairs:
         if s not in up:
             continue
-        if len(up) > H3_WORD_CAP:
-            h3 = None
-            failures.append(f"h3: {format_word(up)} exceeds the search cap, not checked")
-            continue
         if s not in lo and append_letter(lo, s, g) == up:
             continue  # tau = sigma * s
         (deleted,) = set(up) - set(lo)
         # deleting s itself can only be excused by tau = sigma * s above:
         # no letter sits strictly left of itself
-        if deleted == s or not _some_rep_puts_left(up, deleted, s, g):
+        if deleted == s or (up.index(s), up.index(deleted)) in trace_order(up, g):
             h3 = False
             failures.append(
                 f"h3: pair ({format_word(lo)}, {format_word(up)}) deletes "
                 f"{deleted} but no representative puts it left of {s}"
             )
     return HReport(h1, h2, h3, tuple(failures))
-
-
-def _some_rep_puts_left(word, d, s, graph):
-    """Exhaustive search over representatives (available-letter order) for
-    one writing d before s; branches that emit s first cannot witness."""
-    rem = list(word)
-
-    def walk():
-        blockers = 0
-        for i in range(len(rem)):
-            x = rem[i]
-            if blockers & (1 << x) == 0:
-                if x == d:
-                    return True  # every completion keeps d before s
-                if x != s:
-                    del rem[i]
-                    if walk():
-                        return True
-                    rem.insert(i, x)
-            blockers |= graph.neighbor_mask(x)
-        return False
-
-    return walk()
 
 
 # ----------------------------------------------------------------------

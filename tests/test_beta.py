@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from booleancomplex import (
     BudgetError,
@@ -54,6 +55,35 @@ def test_recursion_rejects_empty():
 def test_recursion_counts_calls():
     r = beta_recursive(path_graph(4))
     assert r.method == "recursion" and r.calls >= 3
+
+
+def test_recursion_memoises_above_ten_vertices():
+    # every connected subproblem is keyed by isomorphism class, whatever its
+    # size: unmemoised, A28 takes 20,317 calls
+    r = beta_recursive(path_graph(28))
+    assert r.value == fibonacci(27)
+    assert r.calls < 200
+
+
+@st.composite
+def mid_size_graphs(draw):
+    n = draw(st.integers(11, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = draw(st.integers(n - 1, 16))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=m, max_size=m, unique=True))
+    perm = draw(st.permutations(range(n)))
+    return Graph(edges=edges, vertices=range(n)), dict(zip(range(n), perm))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mid_size_graphs())
+def test_recursion_matches_subset_formula_above_ten_vertices(case):
+    g, perm = case
+    memo = {}
+    want = beta_subset_formula(g).value
+    assert beta_recursive(g, memo).value == want
+    # a relabelled copy reads the shared memo and must give the same value
+    assert beta_recursive(g.relabel(perm), memo).value == want
 
 
 def test_recursion_choice_independent():

@@ -78,6 +78,22 @@ def test_matching_verifies(capsys):
     assert len(data["matching"]["unmatched_maximal"]) == 1
 
 
+def test_matching_at_vertex_reads_input_labels(capsys):
+    # input labels 5, 9, 12 become internal 0, 1, 2; output stays internal
+    code, data = run_json(capsys, ["matching", "--edges", "5 9; 9 12", "--at-vertex", "9"])
+    assert code == EXIT_OK
+    assert data["matching"]["at_vertex"] == 1
+    assert run(["matching", "--edges", "5 9; 9 12", "--at-vertex", "9"]) == EXIT_OK
+    assert "label mapping: 0<-5 1<-9 2<-12" in capsys.readouterr().out
+
+
+def test_matching_at_vertex_outside_the_input_is_parse_error(capsys):
+    # 1 is an internal label only; it must not silently anchor at input 9
+    assert run(["matching", "--edges", "5 9; 9 12", "--at-vertex", "1"]) == EXIT_PARSE
+    assert "not in the input graph" in capsys.readouterr().err
+    assert run(["matching", "--family", "A:3", "--at-vertex", "3"]) == EXIT_PARSE
+
+
 def test_homology_cycles(capsys):
     code, data = run_json(capsys, ["homology", "--family", "A:2", "--cycles"])
     assert code == EXIT_OK
@@ -123,6 +139,12 @@ def test_crosscheck_sweep_out_of_range_is_parse_error(capsys):
     for value in ("0", "-3", "7"):
         assert run(["crosscheck", "--sweep", value]) == EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+
+def test_crosscheck_sweep_with_a_graph_source_is_parse_error(capsys):
+    for source in (["--family", "A:3"], ["--edges", K3_EDGES], ["--file", "absent.txt"]):
+        assert run(["crosscheck", "--sweep", "3"] + source) == EXIT_PARSE, source
+        assert "--sweep" in capsys.readouterr().err
 
 
 def test_crosscheck_skips_routes_over_budget(capsys):

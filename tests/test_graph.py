@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from booleancomplex import (
-    CanonicalKeyLimitError,
     FamilyError,
     FamilySpec,
     Graph,
@@ -215,10 +214,13 @@ def test_canonical_key_agrees_with_vf2_on_regular_graphs():
     ).canonical_key()  # C6 vs two triangles, both 2-regular
 
 
-def test_canonical_key_size_limit():
-    with pytest.raises(CanonicalKeyLimitError):
-        path_graph(11).canonical_key()
-    assert path_graph(11).canonical_key(limit=11)
+def test_canonical_key_past_ten_vertices():
+    rng = random.Random(37)
+    for g in [path_graph(14), cycle_graph(12), complete_graph(12)]:
+        assert g.canonical_key() == random_permutation_relabel(rng, g).canonical_key()
+    two_hexagons = Graph(edges=[(i, (i + 1) % 6) for i in range(6)]
+                         + [(6 + i, 6 + (i + 1) % 6) for i in range(6)])
+    assert cycle_graph(12).canonical_key() != two_hexagons.canonical_key()
 
 
 # ----------------------------------------------------------------------

@@ -21,11 +21,12 @@ from booleancomplex import (
     skeleton_restriction_counts,
     skeleton_sphere_counts,
     star_graph,
+    trace_order,
     verify_acyclic,
     verify_h_properties,
     word_faces,
 )
-from helpers import iso_classes, random_graph
+from helpers import commutation_class, iso_classes, random_graph
 
 A2 = Graph(edges=[(1, 2)])
 A3 = Graph(edges=[(1, 2), (2, 3)])
@@ -178,15 +179,31 @@ def test_h3_fails_when_anchor_deleted_from_the_middle():
     assert report.h3 is False
 
 
-def test_h3_unchecked_past_the_word_length_cap():
-    # ten fully-commuting letters put the top pairs past the search cap;
-    # h1/h2 still verify, h3 comes back None rather than a guess
+def test_h3_decided_on_ten_letter_words():
+    # H3 reads the dependence order, so ten-letter words are decided too
     d10 = edgeless_graph(10)
     m = build_h_matching(d10, 9)
     report = verify_h_properties(m, enumerate_ideal(d10))
-    assert report.h1 and report.h2
-    assert report.h3 is None
-    assert any("not checked" in f for f in report.failures)
+    assert (report.h1, report.h2, report.h3) == (True, True, True)
+    assert report.failures == ()
+
+
+def test_h3_order_test_matches_brute_force():
+    # some representative writes d before s exactly when s does not precede
+    # d in the dependence order: checked against every member of the class
+    triples = 0
+    for g in iso_classes(5):
+        for word in enumerate_ideal(g).elements():
+            order = trace_order(word, g)
+            members = commutation_class(word, g)
+            for i, s in enumerate(word):
+                for j, d in enumerate(word):
+                    if i == j:
+                        continue
+                    brute = any(rep.index(d) < rep.index(s) for rep in members)
+                    assert ((i, j) not in order) == brute, (g, word, d, s)
+                    triples += 1
+    assert triples == 49_536
 
 
 def test_matchings_pass_everything_on_every_graph_up_to_four():
