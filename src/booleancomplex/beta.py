@@ -416,8 +416,7 @@ class Route:
 ROUTES = {
     "recursion": Route(lambda g, budget, anchor, memo: beta_recursive(g, memo).value),
     "euler": Route(lambda g, budget, anchor, memo: beta_euler(g, budget).value),
-    "subset_formula": Route(lambda g, budget, anchor, memo: beta_subset_formula(g).value,
-                            lambda g: len(g.edges) <= SUBSET_EDGE_CAP),
+    "subset_formula": Route(lambda g, budget, anchor, memo: beta_subset_formula(g).value),
     "homology": Route(_homology_route, _homology_in_range),
     "morse": Route(_morse_route, _homology_in_range),
 }

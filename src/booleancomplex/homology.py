@@ -4,6 +4,8 @@ Boundary matrices are indexed by the ideal's cells in normal-form order; a
 rank-k cell has k+1 distinct facets, so every column has weight k+1 and the
 composite of consecutive boundaries vanishes mod 2.  Homology is reduced: the
 implicit empty cell contributes an augmentation row below rank 0.
+``boundary_columns`` reads each map off the ideal's face table, as
+``verify_cycle`` and the matching verifier do; no facet is derived here.
 
 Columns are stored as Python-int bitsets; rank, kernel and reduced-echelon
 bases come from plain bitset Gaussian elimination.  The top boundary has no
@@ -25,7 +27,6 @@ from importlib import resources
 from .beta import HOMOLOGY_VERTEX_CAP, fibonacci
 from .graph import Graph, GraphError, _bits
 from .ideal import (
-    BooleanIdeal,
     BudgetError,
     enumerate_ideal,
     format_word,
@@ -132,105 +133,76 @@ def gf2_rref(vectors):
 # ----------------------------------------------------------------------
 # the chain complex
 
-class Gf2ChainComplex:
-    """Boundary data of a boolean ideal over GF(2), built rank by rank."""
-
-    def __init__(self, ideal: BooleanIdeal):
-        self.ideal = ideal
-        self._boundaries = {}
-
-    def boundary(self, k):
-        """Columns of the rank-k boundary map (k = 0 is the augmentation)."""
-        if k not in self._boundaries:
-            ideal = self.ideal
-            if k == 0:
-                cols = tuple([1] * len(ideal.ranks[0]))
-            else:
-                cols = []
-                for faces in ideal.face_table(k):
-                    col = 0
-                    for i in faces:
-                        col |= 1 << i
-                    cols.append(col)
-                cols = tuple(cols)
-            self._boundaries[k] = cols
-        return self._boundaries[k]
-
-    def matrix(self, k):
-        n_rows = len(self.ideal.ranks[k - 1]) if k >= 1 else 1
-        return Gf2Matrix(n_rows, len(self.ideal.ranks[k]), self.boundary(k))
+def boundary_columns(ideal, k):
+    """Columns of the rank-k boundary map as row bitsets, read from the
+    ideal's face table (k = 0 is the augmentation onto the empty cell)."""
+    if k == 0:
+        return (1,) * len(ideal.ranks[0])
+    return tuple(sum(1 << i for i in faces) for faces in ideal.face_table(k))
 
 
 def boundary_matrix(ideal, k):
     """The rank-k over rank-(k-1) incidence matrix over GF(2)."""
     if not 1 <= k <= ideal.top_rank:
         raise GraphError(f"boundary rank {k} out of range 1..{ideal.top_rank}")
-    return Gf2ChainComplex(ideal).matrix(k)
+    cols = boundary_columns(ideal, k)
+    return Gf2Matrix(len(ideal.ranks[k - 1]), len(cols), cols)
 
 
-def betti_gf2(graph, max_vertices=HOMOLOGY_VERTEX_CAP):
+def betti_gf2(graph):
     """Reduced mod-2 Betti numbers (b0, ..., b_top), augmentation included."""
-    if len(graph) > max_vertices:
+    if len(graph) > HOMOLOGY_VERTEX_CAP:
         raise BudgetError(
-            f"full Betti vectors capped at {max_vertices} vertices, got {len(graph)}"
+            f"full Betti vectors capped at {HOMOLOGY_VERTEX_CAP} vertices, got {len(graph)}"
         )
     ideal = enumerate_ideal(graph)
-    cx = Gf2ChainComplex(ideal)
     top = ideal.top_rank
     sizes = ideal.rank_sizes()
-    ranks = [gf2_rank(cx.boundary(k)) for k in range(top + 1)]  # includes augmentation
+    ranks = [gf2_rank(boundary_columns(ideal, k)) for k in range(top + 1)]
     ranks.append(0)  # nothing above the top
     return tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
 def top_betti(graph):
     """dim of the top homology = nullity of the top boundary (top cells have
-    no coboundary), cheap enough to run where full vectors are not."""
+    no coboundary; at rank 0 it is the augmentation), cheap enough to run
+    where full vectors are not."""
     ideal = enumerate_ideal(graph)
-    if ideal.top_rank == 0:
-        return len(ideal.ranks[0]) - 1  # reduced: components minus one
-    cols = Gf2ChainComplex(ideal).boundary(ideal.top_rank)
+    cols = boundary_columns(ideal, ideal.top_rank)
     return len(cols) - gf2_rank(cols)
 
 
-def top_cycle_basis(graph, max_vertices=HOMOLOGY_VERTEX_CAP):
+def top_cycle_basis(graph):
     """Canonical basis of the top-degree cycle space: the reduced-echelon
     form of ker(top boundary) in normal-form cell order."""
-    if len(graph) > max_vertices:
+    if len(graph) > HOMOLOGY_VERTEX_CAP:
         raise BudgetError(
-            f"cycle bases capped at {max_vertices} vertices, got {len(graph)}"
+            f"cycle bases capped at {HOMOLOGY_VERTEX_CAP} vertices, got {len(graph)}"
         )
     ideal = enumerate_ideal(graph)
     top = ideal.top_rank
     cells = ideal.ranks[top]
-    if top == 0:
-        # reduced kernel of the augmentation: consecutive vertex differences
-        vectors = [(1 << i) | (1 << (i + 1)) for i in range(len(cells) - 1)]
-    else:
-        vectors = gf2_kernel(Gf2ChainComplex(ideal).boundary(top))
+    # at top = 0 this is the reduced kernel of the augmentation
     return [
         Gf2Chain(top, frozenset(cells[i] for i in _bits(vec)))
-        for vec in gf2_rref(vectors)
+        for vec in gf2_rref(gf2_kernel(boundary_columns(ideal, top)))
     ]
 
 
 def verify_cycle(graph, chain):
     """True iff the chain's mod-2 boundary vanishes (reduced at rank 0)."""
     ideal = enumerate_ideal(graph)
+    k = chain.dimension
+    if not 0 <= k <= ideal.top_rank:
+        raise GraphError(f"chain dimension {k} out of range 0..{ideal.top_rank}")
+    cols = boundary_columns(ideal, k)
+    boundary = 0
     for w in chain.support:
-        r, _ = ideal.index_of(w)
-        if r != chain.dimension:
-            raise GraphError(
-                f"cell {format_word(w)} has rank {r}, chain says {chain.dimension}"
-            )
-    if chain.dimension == 0:
-        return len(chain.support) % 2 == 0
-    parity = 0
-    below = {w: i for i, w in enumerate(ideal.ranks[chain.dimension - 1])}
-    for w in chain.support:
-        for face in set(ideal.covers(w)):
-            parity ^= 1 << below[face]
-    return parity == 0
+        r, i = ideal.index_of(w)
+        if r != k:
+            raise GraphError(f"cell {format_word(w)} has rank {r}, chain says {k}")
+        boundary ^= cols[i]
+    return boundary == 0
 
 
 # ----------------------------------------------------------------------
@@ -299,12 +271,11 @@ def an_fixture_suite():
     for n, (graph, generators) in sorted(load_an_generators().items()):
         ideal = enumerate_ideal(graph)
         cells = ideal.ranks[ideal.top_rank]
-        index = {w: i for i, w in enumerate(cells)}
         masks = []
         for chain in generators:
             mask = 0
             for w in chain.support:
-                mask |= 1 << index[w]
+                mask |= 1 << ideal.index_of(w)[1]
             masks.append(mask)
         all_cycles = all(verify_cycle(graph, c) for c in generators)
         independent = len(gf2_rref(masks)) == len(masks)

@@ -87,20 +87,13 @@ def append_letter(word, x, graph):
     return word[:p] + (x,) + word[p:]
 
 
-def delete_letter(word, x, graph):
-    """Normal form of the word with the letter x removed (face map).
+def word_faces(word, graph):
+    """The len(word) distinct codimension-1 faces, as normal forms.
 
     Removing a letter from any two representatives of a class lands in the
-    same class, so this is well defined on classes.
+    same class, so each face is well defined on classes.
     """
-    if x not in word:
-        raise UnknownElementError(f"letter {x} not in word {word!r}")
-    return normalize(tuple(w for w in word if w != x), graph)
-
-
-def word_faces(word, graph):
-    """The len(word) distinct codimension-1 faces, as normal forms."""
-    return [delete_letter(word, x, graph) for x in word]
+    return [normalize(tuple(w for w in word if w != x), graph) for x in word]
 
 
 def representatives(word, graph):
@@ -204,7 +197,7 @@ class BooleanIdeal:
 
     ranks[r] lists the rank-r normal forms sorted lexicographically; face
     tables are built lazily per rank since several consumers only need the
-    top one.
+    top one.  With ``is_cover`` they are the one face relation others read.
     """
 
     __slots__ = ("graph", "ranks", "_index", "_faces")
@@ -264,17 +257,18 @@ class BooleanIdeal:
             self._faces[r] = tuple(table)
         return self._faces[r]
 
-    def covers(self, word):
-        """The codimension-1 faces of an element, as normal forms."""
-        r, _ = self.index_of(word)
-        if r == 0:
-            return []
-        return word_faces(word, self.graph)
-
     def is_cover(self, lower, upper):
-        lo, _ = self.index_of(lower)
-        up, _ = self.index_of(upper)
-        return up == lo + 1 and lower in word_faces(upper, self.graph)
+        """Is ``lower`` a codimension-1 face of ``upper``?  Only a letter of
+        ``upper`` missing from ``lower`` can be the deleted one, so one word
+        is normalised (two missing letters leave it a letter short)."""
+        missing = set(upper).difference(lower)
+        return self.rank_of(upper) == self.rank_of(lower) + 1 and lower == normalize(
+            tuple(w for w in upper if w not in missing), self.graph
+        )
+
+
+def _over_budget(graph, budget):
+    return BudgetError(f"ideal of {graph!r} exceeds the element budget ({budget})")
 
 
 @lru_cache(maxsize=512)
@@ -282,8 +276,10 @@ def _enumerate(graph, budget):
     if len(graph) == 0:
         raise GraphError("the boolean ideal is defined for nonempty graphs")
     verts = graph.vertices
-    ranks = [tuple((v,) for v in verts)]
     total = len(verts)
+    if total > budget:
+        raise _over_budget(graph, budget)
+    ranks = [tuple((v,) for v in verts)]
     for _ in range(1, len(verts)):
         nxt = set()
         for w in ranks[-1]:
@@ -293,11 +289,10 @@ def _enumerate(graph, budget):
             for x in verts:
                 if (used >> x) & 1 == 0:
                     nxt.add(append_letter(w, x, graph))
+            # once per source word: a rank never grows far past the budget
+            if total + len(nxt) > budget:
+                raise _over_budget(graph, budget)
         total += len(nxt)
-        if total > budget:
-            raise BudgetError(
-                f"ideal of {graph!r} exceeds the element budget ({budget})"
-            )
         ranks.append(tuple(sorted(nxt)))
     return BooleanIdeal(graph, tuple(ranks))
 

@@ -23,8 +23,10 @@ block of elements writable as alpha-s-t-gamma and its complement; the
 complement pulls back the matching of G - e through the coarsening projection,
 the block pulls back the matching of the contraction G/e through the
 substitution alpha-x-gamma -> alpha-s-t-gamma.  An isolated anchor instead
-doubles the matching of G minus s.  The base cases are edgeless graphs
-(pair sigma with pivot*sigma) and the single-edge graph.
+doubles the matching of G minus s.  The base cases are a single vertex (left
+unmatched) and edgeless graphs (pair sigma with pivot*sigma).  Every cover
+check, during the construction and in ``verify_acyclic``, reads the ideal's
+one face relation: ``BooleanIdeal.is_cover`` or ``BooleanIdeal.face_table``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .ideal import (
     normalize,
     parse_word,
     trace_order,
-    word_faces,
 )
 
 
@@ -131,8 +132,6 @@ def _build(g, v, build):
         return Matching(g, v, (), (v,), ())
     if not g.edges:
         return _build_edgeless(g, v)
-    if len(g) == 2:
-        return _build_single_edge(g, v)
     if g.degree(v) == 0:
         return _build_isolated_anchor(g, v, build)
     return _build_along_edge(g, v, build)
@@ -149,13 +148,6 @@ def _build_edgeless(g, v):
             partner = tuple(sorted(word + (pivot,)))
             pairs.append((word, partner))
     return Matching(g, v, tuple(pairs), (pivot,), ())
-
-
-def _build_single_edge(g, v):
-    # the one-edge graph on {v, t}: elements v, t, vt, tv; pair (v, tv);
-    # t and the maximal element vt stay unmatched.
-    t = next(u for u in g.vertices if u != v)
-    return Matching(g, v, (((v,), (t, v)),), (t,), ((v, t),))
 
 
 def _build_isolated_anchor(g, v, build):
@@ -198,7 +190,7 @@ def _build_along_edge(g, v, build):
     for lo, up in mh.pairs:
         glo, gup = section[lo], section[up]
         # a matched pair downstairs lifts to a genuine cover upstairs
-        assert glo in word_faces(gup, g), "lifted pair must be a cover"
+        assert ideal.is_cover(glo, gup), "lifted pair must be a cover"
         pairs.append((glo, gup))
 
     f = g.contract_edge(edge)
@@ -215,7 +207,7 @@ def _build_along_edge(g, v, build):
     for lo, up in mf.pairs:
         if x in lo and x in up:
             glo, gup = substitute(lo), substitute(up)
-            assert glo in word_faces(gup, g), "substituted pair must be a cover"
+            assert ideal.is_cover(glo, gup), "substituted pair must be a cover"
             pairs.append((glo, gup))
 
     return _assemble(g, v, pairs)
@@ -245,22 +237,23 @@ def _assemble(g, v, pairs):
 def verify_acyclic(matching, ideal):
     """True iff reversing the matched covers leaves the Hasse diagram free of
     directed cycles.  Any cycle lives in two adjacent ranks, so the check
-    runs one rank pair at a time (up along matched covers, down otherwise).
+    runs one rank pair at a time (up along matched covers, down otherwise)
+    on (rank, index) cell ids read from the face tables.
     """
     pair_set = set()
     for lo, up in matching.pairs:
-        rl, _ = ideal.index_of(lo)
-        ru, _ = ideal.index_of(up)
-        if ru != rl + 1 or lo not in word_faces(up, ideal.graph):
+        if not ideal.is_cover(lo, up):
             raise GraphError(f"pair ({format_word(lo)}, {format_word(up)}) is not a cover")
-        pair_set.add((lo, up))
+        pair_set.add((ideal.index_of(lo), ideal.index_of(up)))
 
     for r in range(1, ideal.top_rank + 1):
         # successors: lower -> matched upper, upper -> its unmatched faces
         succ = {}
-        for up in ideal.ranks[r]:
+        for i, faces in enumerate(ideal.face_table(r)):
+            up = (r, i)
             down = []
-            for lo in word_faces(up, ideal.graph):
+            for j in faces:
+                lo = (r - 1, j)
                 if (lo, up) in pair_set:
                     succ.setdefault(lo, []).append(up)
                 else:

@@ -7,12 +7,12 @@ import pytest
 from booleancomplex import (
     BudgetError,
     Gf2Chain,
-    Gf2ChainComplex,
     GraphError,
     Graph,
     an_fixture_suite,
     beta_recursive,
     betti_gf2,
+    boundary_columns,
     boundary_matrix,
     build_h_matching,
     complete_graph,
@@ -87,11 +87,10 @@ def test_matrix_rows_and_entries_agree():
 
 def test_boundary_squares_to_zero():
     for g in iso_classes(6):
-        cx = Gf2ChainComplex(enumerate_ideal(g))
-        top = cx.ideal.top_rank
-        for k in range(1, top + 1):
-            lower = cx.boundary(k - 1)
-            for col in cx.boundary(k):
+        ideal = enumerate_ideal(g)
+        for k in range(1, ideal.top_rank + 1):
+            lower = boundary_columns(ideal, k - 1)
+            for col in boundary_columns(ideal, k):
                 acc = 0
                 for i in _bits(col):
                     acc ^= lower[i]
@@ -101,10 +100,10 @@ def test_boundary_squares_to_zero():
 def test_boundary_squares_to_zero_random_seven():
     rng = random.Random(103)
     g = random_graph(rng, 7)
-    cx = Gf2ChainComplex(enumerate_ideal(g))
-    for k in range(1, cx.ideal.top_rank + 1):
-        lower = cx.boundary(k - 1)
-        for col in cx.boundary(k):
+    ideal = enumerate_ideal(g)
+    for k in range(1, ideal.top_rank + 1):
+        lower = boundary_columns(ideal, k - 1)
+        for col in boundary_columns(ideal, k):
             acc = 0
             for i in _bits(col):
                 acc ^= lower[i]
@@ -149,7 +148,7 @@ def test_kernel_dimension_satisfies_rank_nullity():
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 6))
         ideal = enumerate_ideal(g)
-        cols = Gf2ChainComplex(ideal).boundary(ideal.top_rank)
+        cols = boundary_columns(ideal, ideal.top_rank)
         assert len(gf2_kernel(cols)) == len(cols) - gf2_rank(cols)
 
 
@@ -185,6 +184,15 @@ def test_verify_cycle_rejects_foreign_cells():
         verify_cycle(A2, Gf2Chain(1, frozenset({(1, 2, 3)})))
     with pytest.raises(GraphError):
         verify_cycle(A2, Gf2Chain(0, frozenset({(1, 2)})))
+    # chains arrive from outside: a dimension outside the complex is rejected
+    top = enumerate_ideal(A3).top_rank
+    for k in range(top + 1):
+        assert verify_cycle(A3, Gf2Chain(k, frozenset()))  # the empty chain
+    for k in (-1, top + 1, top + 2):
+        with pytest.raises(GraphError):
+            verify_cycle(A3, Gf2Chain(k, frozenset()))
+        with pytest.raises(GraphError):
+            verify_cycle(A3, Gf2Chain.from_json(k, '["123"]'))
 
 
 def test_top_cycle_basis_a2():

@@ -26,7 +26,9 @@ from booleancomplex import (
     rank_sizes,
     representatives,
     trace_order,
+    word_faces,
 )
+from booleancomplex import ideal as ideal_mod
 from booleancomplex.beta import fibonacci
 from booleancomplex.ideal import append_letter
 from helpers import (
@@ -35,6 +37,7 @@ from helpers import (
     commutation_class,
     iso_classes,
     random_graph,
+    random_permutation_relabel,
 )
 
 A2 = Graph(edges=[(1, 2)])
@@ -139,6 +142,27 @@ def test_enumerate_rejects_empty_and_budget():
         enumerate_ideal(Graph())
     with pytest.raises(BudgetError):
         enumerate_ideal(complete_graph(6), budget=100)
+    # rank 0 counts towards the budget
+    with pytest.raises(BudgetError):
+        enumerate_ideal(Graph(vertices=[0]), budget=0)
+    assert enumerate_ideal(A3, budget=12).element_count() == 12
+    with pytest.raises(BudgetError):
+        enumerate_ideal(A3, budget=11)
+
+
+def test_budget_stops_inside_a_rank(monkeypatch):
+    # K6 has 6 vertices and 30 rank-1 words; budget 10 is exceeded by the
+    # 5 extensions of the first vertex, long before rank 1 is complete
+    calls = []
+
+    def counting(word, x, graph):
+        calls.append(word)
+        return append_letter(word, x, graph)
+
+    monkeypatch.setattr(ideal_mod, "append_letter", counting)
+    with pytest.raises(BudgetError):
+        enumerate_ideal(complete_graph(6), budget=10)
+    assert len(calls) == 5
 
 
 def test_euler_characteristic_examples():
@@ -183,13 +207,38 @@ def test_face_deletion_is_class_well_defined():
 
 def test_covers_and_membership():
     ideal = enumerate_ideal(A3)
-    assert ideal.covers((1, 2)) == [(2,), (1,)]
+    assert word_faces((1, 2), A3) == [(2,), (1,)]
     # faces of 132 are {32, 12, 13}: the class of 21 is not among them
     assert ideal.is_cover((2, 1), (1, 3, 2)) is False
     assert ideal.is_cover((1, 3), (1, 3, 2))
     assert ideal.is_cover((1, 2), (1, 3, 2))  # delete 3 from representative 312
     with pytest.raises(UnknownElementError):
         ideal.index_of((3, 1))  # not a normal form
+
+
+def _is_cover_by_every_face(ideal, lower, upper):
+    """The reference definition: normalise every face of ``upper``."""
+    return (
+        ideal.rank_of(upper) == ideal.rank_of(lower) + 1
+        and lower in word_faces(upper, ideal.graph)
+    )
+
+
+def test_is_cover_matches_every_face_definition():
+    rng = random.Random(59)
+    graphs = list(iso_classes(4))
+    graphs += [random_permutation_relabel(rng, g) for g in graphs for _ in range(2)]
+    for g in graphs:
+        ideal = enumerate_ideal(g)
+        for r in range(1, ideal.top_rank + 1):
+            for up in ideal.ranks[r]:
+                for lo in ideal.ranks[r - 1]:
+                    assert ideal.is_cover(lo, up) == _is_cover_by_every_face(ideal, lo, up)
+                # and never within a rank, downwards or across a rank gap
+                assert not ideal.is_cover(up, up)
+                assert not ideal.is_cover(up, ideal.ranks[r - 1][0])
+                if r >= 2:
+                    assert not ideal.is_cover(ideal.ranks[r - 2][0], up)
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,10 @@ def test_single_edge_matching():
     assert m.unmatched_rank0 == (2,)
     assert m.unmatched_maximal == ((1, 2),)
     assert m.pairs == (((1,), (2, 1)),)
+    m = build_h_matching(A2, 2)  # the other anchor: s=2, t=1
+    assert m.unmatched_rank0 == (1,)
+    assert m.unmatched_maximal == ((2, 1),)
+    assert m.pairs == (((2,), (1, 2)),)
 
 
 def test_single_vertex_matching_is_trivial():
@@ -131,6 +135,10 @@ def test_empty_matching_is_acyclic():
 def test_verify_acyclic_rejects_non_covers():
     ideal = enumerate_ideal(A3)
     junk = Matching(A3, 1, (((1,), (1, 3, 2)),), (2,), ())
+    with pytest.raises(GraphError):
+        verify_acyclic(junk, ideal)
+    # adjacent ranks, but 21 is not a face of 132 (its faces are 32, 12, 13)
+    junk = Matching(A3, 1, (((2, 1), (1, 3, 2)),), (3,), ())
     with pytest.raises(GraphError):
         verify_acyclic(junk, ideal)
 
