@@ -12,7 +12,7 @@ from booleancomplex import (
     Graph,
     an_fixture_suite,
     betti_gf2,
-    boundary_matrix,
+    boundary_columns,
     complete_graph,
     enumerate_ideal,
     format_word,
@@ -25,13 +25,13 @@ a3 = Graph(edges=[(1, 2), (2, 3)])
 ideal = enumerate_ideal(a3)
 
 print("top boundary matrix of the path 1-2-3 (columns = 2-cells)")
-mat = boundary_matrix(ideal, 2)
+cols = boundary_columns(ideal, 2)
 cells = ideal.ranks[2]
 faces = ideal.ranks[1]
 header = "      " + " ".join(f"{format_word(c):>5s}" for c in cells)
 print(header)
 for i, f in enumerate(faces):
-    row = " ".join(f"{mat.entry(i, j):>5d}" for j in range(mat.n_cols))
+    row = " ".join(f"{(col >> i) & 1:>5d}" for col in cols)
     print(f"{format_word(f):>5s} {row}")
 
 print("\nreduced Betti numbers")

@@ -67,11 +67,9 @@ from .morse import (
 )
 from .homology import (
     Gf2Chain,
-    Gf2Matrix,
     an_fixture_suite,
     betti_gf2,
     boundary_columns,
-    boundary_matrix,
     top_betti,
     top_cycle_basis,
     verify_cycle,

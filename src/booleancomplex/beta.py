@@ -12,8 +12,10 @@ graph G is homotopy equivalent to a wedge of beta(G) spheres of dimension
 * (via the morse and homology modules) unmatched-cell and kernel-rank counts.
 
 ``FAMILIES`` holds one row per named family, read by ``resolve_family``,
-``family_graph`` and ``beta_family``; ``ROUTES`` one row per route, looped
-over by the loud ``cross_check`` and indexed by the CLI's ``beta --method``.
+``family_graph`` and ``beta_family``.  ``ROUTES`` maps each route's name to
+its value function, looped over by the loud ``cross_check`` and indexed by the
+CLI's ``beta --method``; a route refuses a graph only by raising
+``BudgetError``, which ``cross_check`` reports as skipped.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ SUBSET_EDGE_CAP = 24
 #: Largest graph whose homology (dense GF(2) elimination in every rank) is
 #: computed: the homology module's cap and the homology and morse routes' range.
 HOMOLOGY_VERTEX_CAP = 7
+
+
+def check_homology_cap(graph, what):
+    """Raise ``BudgetError`` naming ``what`` if ``graph`` has more than
+    ``HOMOLOGY_VERTEX_CAP`` vertices; callers check before enumerating."""
+    if len(graph) > HOMOLOGY_VERTEX_CAP:
+        raise BudgetError(f"{what} capped at {HOMOLOGY_VERTEX_CAP} vertices, got {len(graph)}")
 
 
 @dataclass(frozen=True)
@@ -387,52 +396,40 @@ class CrossCheckError(RuntimeError):
 
 def _homology_route(graph, budget, anchor, memo):
     from . import homology  # local import: homology builds on this module
+    check_homology_cap(graph, "homology route")
     enumerate_ideal(graph, budget)  # the route's sub-ideals are no larger
     return homology.top_betti(graph)
 
 
 def _morse_route(graph, budget, anchor, memo):
     from . import morse  # local import: morse builds on this module
+    check_homology_cap(graph, "morse route")
     enumerate_ideal(graph, budget)  # the route's sub-ideals are no larger
     anchor = anchor if anchor is not None else graph.vertices[0]
     return len(morse.build_h_matching(graph, anchor).unmatched_maximal)
 
 
-def _homology_in_range(graph):
-    return len(graph) <= HOMOLOGY_VERTEX_CAP
-
-
-@dataclass(frozen=True)
-class Route:
-    """``value(graph, budget, anchor, memo)`` counts (anchor, memo may be None);
-    ``fits(graph)`` is False outside the route's range.  ``value`` looks its
-    route function up when called, so a rebound module attribute is used."""
-
-    value: Callable[..., int]
-    fits: Callable[[Graph], bool] = lambda graph: True
-
-
-#: Every route, in the order cross_check runs and reports them.
+#: Every route, in the order cross_check runs and reports them.  Each maps
+#: ``(graph, budget, anchor, memo)`` to its count (anchor, memo may be None),
+#: raises ``BudgetError`` outside its range, and looks its route function up
+#: when called, so a rebound module attribute is used.
 ROUTES = {
-    "recursion": Route(lambda g, budget, anchor, memo: beta_recursive(g, memo).value),
-    "euler": Route(lambda g, budget, anchor, memo: beta_euler(g, budget).value),
-    "subset_formula": Route(lambda g, budget, anchor, memo: beta_subset_formula(g).value),
-    "homology": Route(_homology_route, _homology_in_range),
-    "morse": Route(_morse_route, _homology_in_range),
+    "recursion": lambda g, budget, anchor, memo: beta_recursive(g, memo).value,
+    "euler": lambda g, budget, anchor, memo: beta_euler(g, budget).value,
+    "subset_formula": lambda g, budget, anchor, memo: beta_subset_formula(g).value,
+    "homology": _homology_route,
+    "morse": _morse_route,
 }
 
 
 def cross_check(graph, at_vertex=None, memo=None, budget=DEFAULT_BUDGET):
     """Run every route of ``ROUTES`` (morse anchored at ``at_vertex``) and
-    compare; a route that does not fit or exceeds ``budget`` is skipped."""
+    compare; a route that raises ``BudgetError`` is skipped."""
     values = {}
     skipped = []
     for name, route in ROUTES.items():
-        if not route.fits(graph):
-            skipped.append(name)
-            continue
         try:
-            values[name] = route.value(graph, budget, at_vertex, memo)
+            values[name] = route(graph, budget, at_vertex, memo)
         except BudgetError:
             skipped.append(name)
     report = CrossCheckReport(graph, values, tuple(skipped))

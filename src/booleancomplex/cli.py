@@ -149,7 +149,7 @@ def _cmd_beta(args):
         if name not in ROUTES:
             raise GraphError(f"unknown method {raw!r}")
         names.append(name)
-    values = {name: ROUTES[name].value(graph, args.budget, None, None) for name in names}
+    values = {name: ROUTES[name](graph, args.budget, None, None) for name in names}
     lines = _describe_graph(graph, mapping)
     lines += [f"beta[{name}] = {value}" for name, value in values.items()]
     _emit(args, {"command": "beta", "graph": _graph_json(graph), "beta": values}, lines)

@@ -96,10 +96,6 @@ class Graph:
         return tuple(_bits(self._vmask))
 
     @property
-    def vertex_mask(self):
-        return self._vmask
-
-    @property
     def edges(self):
         out = []
         for u in _bits(self._vmask):

@@ -1,6 +1,6 @@
 """GF(2) homology of boolean complexes.
 
-Boundary matrices are indexed by the ideal's cells in normal-form order; a
+Boundary maps are indexed by the ideal's cells in normal-form order; a
 rank-k cell has k+1 distinct facets, so every column has weight k+1 and the
 composite of consecutive boundaries vanishes mod 2.  Homology is reduced: the
 implicit empty cell contributes an augmentation row below rank 0.
@@ -24,10 +24,9 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .beta import HOMOLOGY_VERTEX_CAP, fibonacci
+from .beta import check_homology_cap, fibonacci
 from .graph import Graph, GraphError, _bits
 from .ideal import (
-    BudgetError,
     enumerate_ideal,
     format_word,
     normalize,
@@ -53,28 +52,6 @@ class Gf2Chain:
     @classmethod
     def from_json(cls, dimension, text):
         return cls(dimension, frozenset(parse_word(w) for w in json.loads(text)))
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """A matrix over GF(2), stored column-wise as row-index bitsets."""
-
-    n_rows: int
-    n_cols: int
-    columns: tuple[int, ...]
-
-    def rows(self):
-        out = [0] * self.n_rows
-        for j, col in enumerate(self.columns):
-            for i in _bits(col):
-                out[i] |= 1 << j
-        return out
-
-    def entry(self, i, j):
-        return (self.columns[j] >> i) & 1
-
-    def column_weights(self):
-        return [col.bit_count() for col in self.columns]
 
 
 # ----------------------------------------------------------------------
@@ -141,20 +118,9 @@ def boundary_columns(ideal, k):
     return tuple(sum(1 << i for i in faces) for faces in ideal.face_table(k))
 
 
-def boundary_matrix(ideal, k):
-    """The rank-k over rank-(k-1) incidence matrix over GF(2)."""
-    if not 1 <= k <= ideal.top_rank:
-        raise GraphError(f"boundary rank {k} out of range 1..{ideal.top_rank}")
-    cols = boundary_columns(ideal, k)
-    return Gf2Matrix(len(ideal.ranks[k - 1]), len(cols), cols)
-
-
 def betti_gf2(graph):
     """Reduced mod-2 Betti numbers (b0, ..., b_top), augmentation included."""
-    if len(graph) > HOMOLOGY_VERTEX_CAP:
-        raise BudgetError(
-            f"full Betti vectors capped at {HOMOLOGY_VERTEX_CAP} vertices, got {len(graph)}"
-        )
+    check_homology_cap(graph, "full Betti vectors")
     ideal = enumerate_ideal(graph)
     top = ideal.top_rank
     sizes = ideal.rank_sizes()
@@ -175,10 +141,7 @@ def top_betti(graph):
 def top_cycle_basis(graph):
     """Canonical basis of the top-degree cycle space: the reduced-echelon
     form of ker(top boundary) in normal-form cell order."""
-    if len(graph) > HOMOLOGY_VERTEX_CAP:
-        raise BudgetError(
-            f"cycle bases capped at {HOMOLOGY_VERTEX_CAP} vertices, got {len(graph)}"
-        )
+    check_homology_cap(graph, "cycle bases")
     ideal = enumerate_ideal(graph)
     top = ideal.top_rank
     cells = ideal.ranks[top]
@@ -272,21 +235,17 @@ def an_fixture_suite():
         ideal = enumerate_ideal(graph)
         cells = ideal.ranks[ideal.top_rank]
         masks = []
+        covered = 0  # every span element's support lies in this union
         for chain in generators:
             mask = 0
             for w in chain.support:
                 mask |= 1 << ideal.index_of(w)[1]
             masks.append(mask)
+            covered |= mask
         all_cycles = all(verify_cycle(graph, c) for c in generators)
         independent = len(gf2_rref(masks)) == len(masks)
         count_matches = len(generators) == fibonacci(n - 1)
         spans_top = len(generators) == top_betti(graph)
-        covered = 0
-        for combo in range(1, 1 << len(masks)):
-            acc = 0
-            for i in _bits(combo):
-                acc ^= masks[i]
-            covered |= acc
         covers = covered == (1 << len(cells)) - 1
         rows.append(
             FixtureRow(

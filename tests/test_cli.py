@@ -2,6 +2,7 @@
 
 import json
 
+from booleancomplex import ideal as ideal_module
 from booleancomplex.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -106,6 +107,16 @@ def test_budget_binds_every_enumerating_command(capsys):
                  ["beta", "--method", "morse"]):
         assert run(argv + ["--family", "K:7", "--budget", "100"]) == EXIT_BUDGET, argv
         assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_homology_and_morse_routes_refuse_past_the_vertex_cap(capsys):
+    for method in ("homology", "morse"):
+        assert run(["beta", "--family", "A:8", "--method", method]) == EXIT_BUDGET, method
+        assert "capped at 7 vertices" in capsys.readouterr().err
+    # the cap is checked before the route's budget guard enumerates the ideal
+    misses = ideal_module._enumerate.cache_info().misses
+    assert run(["beta", "--family", "K:9", "--method", "morse"]) == EXIT_BUDGET
+    assert ideal_module._enumerate.cache_info().misses == misses
 
 
 def test_family_report(capsys):
