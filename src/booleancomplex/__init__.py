@@ -2,11 +2,12 @@
 
 Words of distinct vertices modulo commutation of non-adjacent letters form a
 ranked simplicial poset, the boolean ideal; its cell complex realises a wedge
-of top-dimensional spheres.  This package enumerates the ideal, counts the
-spheres five independent ways (edge recursion, Euler characteristic, covering
-edge subsets, GF(2) homology, unmatched cells of an anchored acyclic
-matching), builds those matchings, and extracts explicit mod-2 generating
-cycles.  The named families and the routes are each one table in ``beta``.
+of top-dimensional spheres.  This package counts and enumerates the ideal,
+computes the sphere count five independent ways (edge recursion, Euler
+characteristic, covering edge subsets, GF(2) homology, unmatched cells of an
+anchored acyclic matching), builds those matchings, and extracts explicit
+mod-2 generating cycles.  The named families and the routes are each one
+table in ``beta``.
 """
 
 from .graph import (

@@ -7,7 +7,8 @@ graph G is homotopy equivalent to a wedge of beta(G) spheres of dimension
 * the edge recursion  beta(G) = beta(G-e) + beta(G/e) + beta(G-[e])
   (delete / simply contract / extract), with beta(A2) = 1, beta of any graph
   with an isolated vertex = 0, and multiplicativity over components;
-* the Euler characteristic,  beta(G) = (-1)^(n-1) (chi - 1);
+* the Euler characteristic,  beta(G) = (-1)^(n-1) (chi - 1), with chi
+  counted from acyclic orientations rather than enumerated;
 * the covering-edge-subset sum  sum_{B <= E, V(B) = V} (-1)^(n + |B| - k(B));
 * (via the morse and homology modules) unmatched-cell and kernel-rank counts.
 
@@ -37,7 +38,7 @@ from .graph import (
     star_graph,
     tshape_graph,
 )
-from .ideal import BudgetError, DEFAULT_BUDGET, enumerate_ideal, euler_characteristic
+from .ideal import BudgetError, DEFAULT_BUDGET, euler_characteristic, rank_sizes
 
 #: 2^24 covering subsets is the most the brute-force subset sum will walk.
 SUBSET_EDGE_CAP = 24
@@ -397,14 +398,14 @@ class CrossCheckError(RuntimeError):
 def _homology_route(graph, budget, anchor, memo):
     from . import homology  # local import: homology builds on this module
     check_homology_cap(graph, "homology route")
-    enumerate_ideal(graph, budget)  # the route's sub-ideals are no larger
+    rank_sizes(graph, budget)  # the route's sub-ideals are no larger
     return homology.top_betti(graph)
 
 
 def _morse_route(graph, budget, anchor, memo):
     from . import morse  # local import: morse builds on this module
     check_homology_cap(graph, "morse route")
-    enumerate_ideal(graph, budget)  # the route's sub-ideals are no larger
+    rank_sizes(graph, budget)  # the route's sub-ideals are no larger
     anchor = anchor if anchor is not None else graph.vertices[0]
     return len(morse.build_h_matching(graph, anchor).unmatched_maximal)
 

@@ -29,7 +29,9 @@ from .ideal import (
     BudgetError,
     DEFAULT_BUDGET,
     enumerate_ideal,
+    euler_characteristic,
     format_word,
+    rank_sizes,
 )
 
 SCHEMA_VERSION = 1
@@ -158,8 +160,7 @@ def _cmd_beta(args):
 
 def _cmd_chi(args):
     graph, mapping = _load_graph(args)
-    ideal = enumerate_ideal(graph, args.budget)
-    chi = ideal.euler_characteristic()
+    chi = euler_characteristic(graph, args.budget)
     implied = (-1) ** (len(graph) - 1) * (chi - 1)
     lines = _describe_graph(graph, mapping)
     lines += [f"chi = {chi}", f"implied sphere count = {implied}"]
@@ -173,15 +174,18 @@ def _cmd_chi(args):
 
 def _cmd_enumerate(args):
     graph, mapping = _load_graph(args)
-    ideal = enumerate_ideal(graph, args.budget)
-    sizes = ideal.rank_sizes()
+    if args.words:
+        ideal = enumerate_ideal(graph, args.budget)
+        sizes = ideal.rank_sizes()
+    else:
+        sizes = rank_sizes(graph, args.budget)
     lines = _describe_graph(graph, mapping)
     lines.append("rank sizes: " + " ".join(map(str, sizes)))
     payload = {
         "command": "enumerate",
         "graph": _graph_json(graph),
         "rank_sizes": list(sizes),
-        "euler_characteristic": ideal.euler_characteristic(),
+        "euler_characteristic": sum((-1) ** r * f for r, f in enumerate(sizes)),
     }
     if args.words:
         payload["ranks"] = [
@@ -203,8 +207,9 @@ def _cmd_matching(args):
         if args.at_vertex not in internal:
             raise GraphError(f"vertex {args.at_vertex} not in the input graph")
         anchor = internal[args.at_vertex]
-    # enumerate first: the budget then bounds the build, whose sub-ideals are no larger
-    ideal = enumerate_ideal(graph, args.budget)
+    # count first: the budget then bounds the build, whose sub-ideals are no larger
+    rank_sizes(graph, args.budget)
+    ideal = enumerate_ideal(graph)
     matching = morse.build_h_matching(graph, anchor)
     acyclic = morse.verify_acyclic(matching, ideal)
     report = morse.verify_h_properties(matching, ideal)
@@ -231,7 +236,7 @@ def _cmd_matching(args):
 
 def _cmd_homology(args):
     graph, mapping = _load_graph(args)
-    enumerate_ideal(graph, args.budget)  # the budget guard, before any work
+    rank_sizes(graph, args.budget)  # the budget guard, before any work
     betti = homology.betti_gf2(graph)
     lines = _describe_graph(graph, mapping)
     lines.append("reduced Betti numbers: " + " ".join(map(str, betti)))

@@ -9,6 +9,12 @@ smallest letter all of whose remaining predecessors commute with it).
 The classes form a ranked poset under subword order, with rank = length - 1.
 The empty word is the implicit rank -1 minimum: never stored, never a cell.
 
+``rank_sizes`` and ``euler_characteristic`` count the classes without building
+one: the full-length classes on a vertex set are its acyclic orientations.
+``enumerate_ideal`` builds every class, for the consumers that read words,
+and refuses an ideal over its budget before building any.  Both raise
+``BudgetError`` exactly when the element count exceeds the budget.
+
 >>> from booleancomplex.graph import path_graph
 >>> a3 = path_graph(3)                 # vertices 0-1-2, edges {0,1} and {1,2}
 >>> normalize((2, 0, 1), a3)           # 2 and 0 commute, 2 and 1 do not
@@ -239,9 +245,6 @@ class BooleanIdeal:
     def maximal_elements(self):
         return self.ranks[-1]
 
-    def euler_characteristic(self):
-        return sum((-1) ** r * len(words) for r, words in enumerate(self.ranks))
-
     def face_table(self, r):
         """For each rank-r element, the sorted tuple of its face indices in
         rank r-1.  Every rank-r element has exactly r+1 distinct faces."""
@@ -271,14 +274,25 @@ def _over_budget(graph, budget):
     return BudgetError(f"ideal of {graph!r} exceeds the element budget ({budget})")
 
 
+def _fits_every_graph(n, budget):
+    """Does K_n's ideal fit the budget?  It has sum_k n!/(n-k)! elements, the
+    most of any graph on n vertices (an edge only splits classes)."""
+    total, words = 0, 1
+    for k in range(n):
+        words *= n - k  # words of length k + 1
+        total += words
+        if total > budget:
+            return False
+    return True
+
+
 @lru_cache(maxsize=512)
 def _enumerate(graph, budget):
     if len(graph) == 0:
         raise GraphError("the boolean ideal is defined for nonempty graphs")
     verts = graph.vertices
-    total = len(verts)
-    if total > budget:
-        raise _over_budget(graph, budget)
+    if not _fits_every_graph(len(verts), budget):
+        rank_sizes(graph, budget)  # the exact count refuses before any word is built
     ranks = [tuple((v,) for v in verts)]
     for _ in range(1, len(verts)):
         nxt = set()
@@ -289,10 +303,6 @@ def _enumerate(graph, budget):
             for x in verts:
                 if (used >> x) & 1 == 0:
                     nxt.add(append_letter(w, x, graph))
-            # once per source word: a rank never grows far past the budget
-            if total + len(nxt) > budget:
-                raise _over_budget(graph, budget)
-        total += len(nxt)
         ranks.append(tuple(sorted(nxt)))
     return BooleanIdeal(graph, tuple(ranks))
 
@@ -302,13 +312,77 @@ def enumerate_ideal(graph, budget=DEFAULT_BUDGET):
     return _enumerate(graph, budget)
 
 
+# ----------------------------------------------------------------------
+# counting without enumerating
+
+def _length_counts(comp, limit):
+    """[1, f_0, f_1, ...] for a connected graph, or None once the classes
+    counted so far exceed ``limit``.
+
+    The full-length classes on a vertex set S are the acyclic orientations
+    of G[S] (Cartier-Foata), counted by the source-set recurrence
+    a(S) = sum over nonempty independent I of S of (-1)^(|I|+1) a(S - I).
+    Subsets are bitmasks over ``comp``'s vertices in order, so every S - I
+    is filled in before S.
+    """
+    m = len(comp)
+    local = comp.relabel({v: i for i, v in enumerate(comp.vertices)})
+    nbr = {1 << i: local.neighbor_mask(i) for i in range(m)}
+    a = [1] * (1 << m)
+    counts = [1] + [0] * m
+    running = 0
+    for s in range(1, len(a)):
+        total = 0
+        # independent subsets of s, grown in increasing bit order
+        stack = [(s, 0, 1)]
+        while stack:
+            cand, chosen, sign = stack.pop()
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                sub = chosen | low
+                total += sign * a[s ^ sub]
+                rest = cand & ~nbr[low]
+                if rest:
+                    stack.append((rest, sub, -sign))
+        a[s] = total
+        counts[s.bit_count()] += total
+        running += total
+        if running > limit:
+            return None
+    return counts
+
+
 def rank_sizes(graph, budget=DEFAULT_BUDGET):
-    return enumerate_ideal(graph, budget).rank_sizes()
+    """Rank sizes f_0, f_1, ..., counted without building an element.
+
+    f_k sums the acyclic orientation counts of the induced subgraphs on
+    k + 1 vertices.  Components contribute independently: the polynomials
+    1 + sum_k f_k x^(k+1) of the components multiply.  Raises
+    ``BudgetError`` exactly when sum_k f_k exceeds ``budget``.
+    """
+    n = len(graph)
+    if n == 0:
+        raise GraphError("the boolean ideal is defined for nonempty graphs")
+    if (1 << n) - 1 > budget:  # every nonempty vertex set holds a class
+        raise _over_budget(graph, budget)
+    poly = [1]
+    for comp in graph.components():
+        # the final count + 1 is at least sum(poly) * (1 + this component's count)
+        counts = _length_counts(comp, (budget + 1) // sum(poly) - 1)
+        if counts is None:
+            raise _over_budget(graph, budget)
+        product = [0] * (len(poly) + len(counts) - 1)
+        for i, p in enumerate(poly):
+            for j, c in enumerate(counts):
+                product[i + j] += p * c
+        poly = product
+    return tuple(poly[1:])
 
 
 def euler_characteristic(graph, budget=DEFAULT_BUDGET):
     """Alternating sum of the rank sizes (the empty face is excluded)."""
-    return enumerate_ideal(graph, budget).euler_characteristic()
+    return sum((-1) ** r * f for r, f in enumerate(rank_sizes(graph, budget)))
 
 
 def count_rank_path(n, k):

@@ -28,6 +28,7 @@ from booleancomplex import (
     spanning_forest_count,
     star_graph,
 )
+from booleancomplex import ideal as ideal_module
 from booleancomplex.beta import FAMILIES, lucas, resolve_family, _pick_edge
 from helpers import iso_classes, random_graph, random_tree
 
@@ -129,6 +130,12 @@ def test_euler_examples():
 def test_euler_budget_propagates():
     with pytest.raises(BudgetError):
         beta_euler(complete_graph(6), budget=50)
+
+
+def test_euler_counts_past_the_enumeration_budget():
+    # K11's 108,505,111 classes are counted, never built
+    assert beta_euler(complete_graph(11), budget=2 * 10**8).value == beta_complete(11)
+    assert beta_complete(11) == 14_684_570
 
 
 # ----------------------------------------------------------------------
@@ -324,3 +331,14 @@ def test_cross_check_skips_over_budget_methods():
     report = cross_check(complete_graph(7), budget=100)  # 13,699 elements
     assert report.skipped == ("euler", "homology", "morse")
     assert report.values == {"recursion": 1854, "subset_formula": 1854}
+
+
+def test_cross_check_budget_does_not_enumerate_twice():
+    # the routes' guards count under the budget; only the routes themselves
+    # enumerate, at the default budget, so a non-default one adds no miss
+    def misses(**kwargs):
+        ideal_module._enumerate.cache_clear()
+        cross_check(complete_graph(6), **kwargs)
+        return ideal_module._enumerate.cache_info().misses
+
+    assert misses(budget=10**6) == misses()

@@ -109,11 +109,30 @@ def test_budget_binds_every_enumerating_command(capsys):
         assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_counting_commands_never_enumerate(capsys):
+    before = ideal_module._enumerate.cache_info()
+    for argv in (["chi", "--family", "cycle:9"], ["enumerate", "--family", "D:9"]):
+        assert run(argv) == EXIT_OK, argv
+    after = ideal_module._enumerate.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert "rank sizes: 9 " in capsys.readouterr().out
+
+
+def test_over_budget_and_over_cap_messages(capsys):
+    # K10 has 9,864,100 elements; the exact count refuses it at once
+    for argv in (["enumerate", "--words"], ["homology"], ["chi"]):
+        assert run(argv + ["--family", "K:10"]) == EXIT_BUDGET, argv
+        assert "exceeds the element budget (2000000)" in capsys.readouterr().err
+    # K9 fits the budget, so homology reaches its vertex cap
+    assert run(["homology", "--family", "K:9"]) == EXIT_BUDGET
+    assert "capped at 7 vertices, got 9" in capsys.readouterr().err
+
+
 def test_homology_and_morse_routes_refuse_past_the_vertex_cap(capsys):
     for method in ("homology", "morse"):
         assert run(["beta", "--family", "A:8", "--method", method]) == EXIT_BUDGET, method
         assert "capped at 7 vertices" in capsys.readouterr().err
-    # the cap is checked before the route's budget guard enumerates the ideal
+    # the cap is checked before the route's budget guard
     misses = ideal_module._enumerate.cache_info().misses
     assert run(["beta", "--family", "K:9", "--method", "morse"]) == EXIT_BUDGET
     assert ideal_module._enumerate.cache_info().misses == misses

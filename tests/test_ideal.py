@@ -1,4 +1,5 @@
-"""Normal forms, enumeration by rank, cover structure, and the path counts.
+"""Normal forms, enumeration and counting by rank, cover structure, and the
+path counts.
 
 Expected values marked by hand-enumeration were produced with the brute-force
 oracles in helpers (breadth-first commuting swaps) and frozen here.
@@ -7,6 +8,7 @@ oracles in helpers (breadth-first commuting swaps) and frozen here.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from booleancomplex import (
     BudgetError,
@@ -151,8 +153,8 @@ def test_enumerate_rejects_empty_and_budget():
 
 
 def test_budget_stops_inside_a_rank(monkeypatch):
-    # K6 has 6 vertices and 30 rank-1 words; budget 10 is exceeded by the
-    # 5 extensions of the first vertex, long before rank 1 is complete
+    # K6 has 6 vertices and 30 rank-1 words; budget 10 is refused by the
+    # exact count before the first word is extended
     calls = []
 
     def counting(word, x, graph):
@@ -162,7 +164,55 @@ def test_budget_stops_inside_a_rank(monkeypatch):
     monkeypatch.setattr(ideal_mod, "append_letter", counting)
     with pytest.raises(BudgetError):
         enumerate_ideal(complete_graph(6), budget=10)
-    assert len(calls) == 5
+    assert len(calls) == 0
+
+
+# ----------------------------------------------------------------------
+# counting without enumerating
+
+def test_rank_sizes_count_matches_enumeration_up_to_six_vertices():
+    classes = iso_classes(6)
+    assert len(classes) == 208
+    for g in classes:
+        assert rank_sizes(g) == enumerate_ideal(g).rank_sizes(), g
+
+
+@st.composite
+def seven_and_eight_vertex_graphs(draw):
+    n = draw(st.integers(7, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=16, unique=True))
+    return Graph(edges=edges, vertices=range(n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seven_and_eight_vertex_graphs())
+def test_rank_sizes_count_matches_enumeration_on_seven_and_eight_vertices(g):
+    assert rank_sizes(g) == enumerate_ideal(g).rank_sizes()
+
+
+def test_rank_sizes_budget_is_exact():
+    assert rank_sizes(A3, budget=12) == (3, 5, 4)
+    with pytest.raises(BudgetError):
+        rank_sizes(A3, budget=11)
+    with pytest.raises(BudgetError):
+        rank_sizes(Graph(vertices=[0]), budget=0)
+    with pytest.raises(GraphError):
+        rank_sizes(Graph())
+    # components multiply: with the empty word each edge has 1 + 2 + 2
+    # classes, and 5 * 5 - 1 = 24
+    two_edges = Graph(edges=[(0, 1), (2, 3)])
+    assert rank_sizes(two_edges, budget=24) == (4, 8, 8, 4)
+    with pytest.raises(BudgetError):
+        rank_sizes(two_edges, budget=23)
+
+
+def test_counting_builds_no_element():
+    before = ideal_mod._enumerate.cache_info()
+    rank_sizes(complete_graph(9))
+    euler_characteristic(path_graph(9))
+    after = ideal_mod._enumerate.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_euler_characteristic_examples():
@@ -255,9 +305,10 @@ def test_count_rank_path_examples():
 
 def test_count_rank_path_matches_enumeration():
     for n in range(1, 9):
-        sizes = rank_sizes(path_graph(n))
+        counted = rank_sizes(path_graph(n))
+        enumerated = enumerate_ideal(path_graph(n)).rank_sizes()
         for k in range(1, n + 1):
-            assert sizes[k - 1] == count_rank_path(n, k)
+            assert counted[k - 1] == enumerated[k - 1] == count_rank_path(n, k)
 
 
 # ----------------------------------------------------------------------
