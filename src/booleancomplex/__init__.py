@@ -44,7 +44,6 @@ from .beta import (
     BetaResult,
     CrossCheckError,
     CrossCheckReport,
-    FamilySpec,
     beta_complete,
     beta_euler,
     beta_family,

@@ -292,40 +292,20 @@ FAMILIES = {
 _FAMILY_NAMES = {name.lower(): name for name in FAMILIES}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family plus its rank parameter (where applicable)."""
-
-    family: str
-    n: int | None = None
-
-    @classmethod
-    def parse(cls, text):
-        """Parse "NAME" or "NAME:n" (names case-insensitive, e.g. "affineD:6")."""
-        name, sep, rank = text.partition(":")
-        key = name.strip().lower()
-        if key not in _FAMILY_NAMES:
-            raise FamilyError(f"unknown family {name!r}")
-        if not sep:
-            return cls(_FAMILY_NAMES[key], None)
+def resolve_family(text):
+    """Parse "NAME" or "NAME:n" (names case-insensitive, e.g. "affineD:6")
+    into the canonical family name and the effective rank."""
+    name, sep, rank = text.partition(":")
+    family = _FAMILY_NAMES.get(name.strip().lower())
+    if family is None:
+        raise FamilyError(f"unknown family {name!r}")
+    row = FAMILIES[family]
+    n = row.implied_rank
+    if sep:
         try:
-            return cls(_FAMILY_NAMES[key], int(rank))
+            n = int(rank)
         except ValueError:
             raise FamilyError(f"bad rank in family spec {text!r}") from None
-
-    def __str__(self):
-        return self.family if self.n is None else f"{self.family}:{self.n}"
-
-
-def resolve_family(spec):
-    """Return (canonical family name, effective n) for a spec or "NAME:n"."""
-    if isinstance(spec, str):
-        spec = FamilySpec.parse(spec)
-    family = _FAMILY_NAMES.get(spec.family.lower())
-    if family is None:
-        raise FamilyError(f"unknown family {spec.family!r}")
-    row = FAMILIES[family]
-    n = spec.n if spec.n is not None else row.implied_rank
     if n is None:
         raise FamilyError(f"family {family} needs a rank, e.g. {family}:4")
     if not row.valid(n):
@@ -333,15 +313,15 @@ def resolve_family(spec):
     return family, n
 
 
-def family_graph(spec):
-    """Build the named family member.  Accepts a FamilySpec or "NAME:n"."""
-    family, n = resolve_family(spec)
+def family_graph(text):
+    """Build the named family member, "NAME" or "NAME:n"."""
+    family, n = resolve_family(text)
     return FAMILIES[family].build(n)
 
 
-def beta_family(spec):
+def beta_family(text):
     """Closed-form sphere count for a named family member."""
-    family, n = resolve_family(spec)
+    family, n = resolve_family(text)
     return FAMILIES[family].beta(n)
 
 
@@ -395,42 +375,42 @@ class CrossCheckError(RuntimeError):
         super().__init__(f"method disagreement: {report.values}")
 
 
-def _homology_route(graph, budget, anchor, memo):
+def _homology_route(graph, budget, memo):
     from . import homology  # local import: homology builds on this module
     check_homology_cap(graph, "homology route")
     rank_sizes(graph, budget)  # the route's sub-ideals are no larger
     return homology.top_betti(graph)
 
 
-def _morse_route(graph, budget, anchor, memo):
+def _morse_route(graph, budget, memo):
     from . import morse  # local import: morse builds on this module
     check_homology_cap(graph, "morse route")
     rank_sizes(graph, budget)  # the route's sub-ideals are no larger
-    anchor = anchor if anchor is not None else graph.vertices[0]
-    return len(morse.build_h_matching(graph, anchor).unmatched_maximal)
+    return len(morse.build_h_matching(graph, graph.vertices[0]).unmatched_maximal)
 
 
 #: Every route, in the order cross_check runs and reports them.  Each maps
-#: ``(graph, budget, anchor, memo)`` to its count (anchor, memo may be None),
-#: raises ``BudgetError`` outside its range, and looks its route function up
-#: when called, so a rebound module attribute is used.
+#: ``(graph, budget, memo)`` to its count (memo may be None), raises
+#: ``BudgetError`` outside its range, and looks its route function up when
+#: called, so a rebound module attribute is used.
 ROUTES = {
-    "recursion": lambda g, budget, anchor, memo: beta_recursive(g, memo).value,
-    "euler": lambda g, budget, anchor, memo: beta_euler(g, budget).value,
-    "subset_formula": lambda g, budget, anchor, memo: beta_subset_formula(g).value,
+    "recursion": lambda g, budget, memo: beta_recursive(g, memo).value,
+    "euler": lambda g, budget, memo: beta_euler(g, budget).value,
+    "subset_formula": lambda g, budget, memo: beta_subset_formula(g).value,
     "homology": _homology_route,
     "morse": _morse_route,
 }
 
 
-def cross_check(graph, at_vertex=None, memo=None, budget=DEFAULT_BUDGET):
-    """Run every route of ``ROUTES`` (morse anchored at ``at_vertex``) and
-    compare; a route that raises ``BudgetError`` is skipped."""
+def cross_check(graph, memo=None, budget=DEFAULT_BUDGET):
+    """Run every route of ``ROUTES`` as ``route(graph, budget, memo)`` (morse
+    anchored at the smallest vertex) and compare; a route that raises
+    ``BudgetError`` is skipped."""
     values = {}
     skipped = []
     for name, route in ROUTES.items():
         try:
-            values[name] = route(graph, budget, at_vertex, memo)
+            values[name] = route(graph, budget, memo)
         except BudgetError:
             skipped.append(name)
     report = CrossCheckReport(graph, values, tuple(skipped))

@@ -16,10 +16,9 @@ import sys
 
 from . import homology, morse
 from .beta import (
+    FAMILIES,
     ROUTES,
     CrossCheckError,
-    FamilySpec,
-    beta_family,
     cross_check,
     family_graph,
     resolve_family,
@@ -41,8 +40,6 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
-_METHOD_ALIASES = {"subset": "subset_formula", "rec": "recursion"}
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -52,12 +49,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            src = p.add_mutually_exclusive_group(required=False)
-            src.add_argument("--family", help='family spec like "A:5" or "affineD:6"')
-            src.add_argument("--edges", help='inline edge list, lines "u v" (";" also separates)')
-            src.add_argument("--file", help="path of an edge-list file")
+    def add_common(p):
+        src = p.add_mutually_exclusive_group(required=False)
+        src.add_argument("--family", help='family spec like "A:5" or "affineD:6"')
+        src.add_argument("--edges", help='inline edge list, lines "u v" (";" also separates)')
+        src.add_argument("--file", help="path of an edge-list file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--budget", type=int, default=DEFAULT_BUDGET,
@@ -102,7 +98,7 @@ def _load_graph(args):
     if len(sources) != 1:
         raise GraphError("need exactly one of --family / --edges / --file")
     if args.family is not None:
-        return family_graph(FamilySpec.parse(args.family)), None
+        return family_graph(args.family), None
     if args.edges is not None:
         text = args.edges.replace(";", "\n")
     else:
@@ -147,11 +143,10 @@ def _cmd_beta(args):
     names = []
     for raw in args.method.split(","):
         name = raw.strip()
-        name = _METHOD_ALIASES.get(name, name)
         if name not in ROUTES:
             raise GraphError(f"unknown method {raw!r}")
         names.append(name)
-    values = {name: ROUTES[name](graph, args.budget, None, None) for name in names}
+    values = {name: ROUTES[name](graph, args.budget, None) for name in names}
     lines = _describe_graph(graph, mapping)
     lines += [f"beta[{name}] = {value}" for name, value in values.items()]
     _emit(args, {"command": "beta", "graph": _graph_json(graph), "beta": values}, lines)
@@ -259,10 +254,10 @@ def _cmd_homology(args):
 def _cmd_family(args):
     if args.family is None:
         raise GraphError("family subcommand needs --family")
-    spec = FamilySpec.parse(args.family)
-    name, n = resolve_family(spec)
-    graph = family_graph(spec)
-    count = beta_family(spec)
+    name, n = resolve_family(args.family)
+    row = FAMILIES[name]
+    graph = row.build(n)
+    count = row.beta(n)
     dim = len(graph) - 1
     wedge = f"{count} sphere(s) of dimension {dim}"
     lines = [

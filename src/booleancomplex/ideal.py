@@ -251,10 +251,10 @@ class BooleanIdeal:
         if not 1 <= r <= self.top_rank:
             raise GraphError(f"rank {r} out of range 1..{self.top_rank}")
         if self._faces[r] is None:
-            below = {w: i for i, w in enumerate(self.ranks[r - 1])}
+            index = self._index  # a face of a rank-r word has rank r - 1
             table = []
             for w in self.ranks[r]:
-                faces = tuple(sorted(below[f] for f in word_faces(w, self.graph)))
+                faces = tuple(sorted(index[f][1] for f in word_faces(w, self.graph)))
                 assert len(set(faces)) == len(w), "faces of a cell must be distinct"
                 table.append(faces)
             self._faces[r] = tuple(table)

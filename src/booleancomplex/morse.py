@@ -369,9 +369,6 @@ class SkeletonReport:
     rank_sizes: tuple[int, ...]
     unmatched: tuple[int, ...]
 
-    def rows(self):
-        return list(zip(range(len(self.rank_sizes)), self.rank_sizes, self.unmatched))
-
 
 def skeleton_sphere_counts(graph, matching):
     """Unmatched counts per skeleton via a top-down recursion seeded by the

@@ -10,7 +10,6 @@ from booleancomplex import (
     BudgetError,
     CrossCheckError,
     FamilyError,
-    FamilySpec,
     Graph,
     GraphError,
     beta_complete,
@@ -182,17 +181,17 @@ def test_family_table_closed_forms_match_recursion():
         for n in range(1, 12):
             if not row.valid(n):
                 continue
-            spec = FamilySpec(name, n)
+            spec = f"{name}:{n}"
             g = family_graph(spec)
             if len(g) <= 10:
                 assert beta_recursive(g, MEMO).value == beta_family(spec), spec
                 checked += 1
         if row.implied_rank is None:
             with pytest.raises(FamilyError):
-                resolve_family(FamilySpec(name))
+                resolve_family(name)
         else:
-            assert resolve_family(FamilySpec(name)) == (name, row.implied_rank)
-            assert beta_family(name) == beta_family(FamilySpec(name, row.implied_rank))
+            assert resolve_family(name) == (name, row.implied_rank)
+            assert beta_family(name) == beta_family(f"{name}:{row.implied_rank}")
     assert checked > 100
 
 

@@ -45,7 +45,10 @@ def test_beta_all_methods_text(capsys):
 
 
 def test_beta_unknown_method(capsys):
-    assert run(["beta", "--family", "A:3", "--method", "sorcery"]) == EXIT_PARSE
+    # each route has one spelling, the ROUTES key listed in --help
+    for method in ("sorcery", "rec", "subset"):
+        assert run(["beta", "--family", "A:3", "--method", method]) == EXIT_PARSE, method
+        assert capsys.readouterr().err == f"error: unknown method {method!r}\n"
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +150,18 @@ def test_family_report(capsys):
 
 def test_family_requires_family_flag(capsys):
     assert run(["family", "--edges", K3_EDGES]) == EXIT_PARSE
+
+
+def test_family_spec_errors_name_the_fault(capsys):
+    for spec, err in (
+        ("Z:3", "unknown family 'Z'"),
+        ("A:x", "bad rank in family spec 'A:x'"),
+        ("A", "family A needs a rank, e.g. A:4"),
+        ("E:5", "family E needs n n in {6, 7, 8}, got 5"),
+    ):
+        assert run(["family", "--family", spec]) == EXIT_PARSE, spec
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {err}\n", spec
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from booleancomplex import (
     FamilyError,
-    FamilySpec,
     Graph,
     GraphError,
     InvalidEdgeError,
@@ -21,6 +20,7 @@ from booleancomplex import (
     path_graph,
     star_graph,
 )
+from booleancomplex.beta import resolve_family
 from helpers import (
     all_labeled_graphs,
     iso_classes,
@@ -242,10 +242,12 @@ def test_family_paths_and_forks():
 
 
 def test_family_spec_parsing_and_ranges():
-    assert FamilySpec.parse("affined:6") == FamilySpec("affineD", 6)
-    assert FamilySpec.parse("f4") == FamilySpec("F4", None)
+    assert resolve_family("affined:6") == ("affineD", 6)
+    assert resolve_family("f4") == ("F4", 4)
     with pytest.raises(FamilyError):
-        FamilySpec.parse("Z:3")
+        resolve_family("Z:3")
+    with pytest.raises(FamilyError):
+        resolve_family("A:x")
     with pytest.raises(FamilyError):
         family_graph("E:5")
     with pytest.raises(FamilyError):
