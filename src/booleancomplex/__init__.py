@@ -19,7 +19,6 @@ from .graph import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
-    format_edge_list,
     parse_edge_list,
     path_graph,
     star_graph,
@@ -34,7 +33,6 @@ from .ideal import (
     euler_characteristic,
     format_word,
     normalize,
-    parse_word,
     rank_sizes,
     representatives,
     trace_order,

@@ -45,6 +45,8 @@ SUBSET_EDGE_CAP = 24
 
 #: Largest graph whose homology (dense GF(2) elimination in every rank) is
 #: computed: the homology module's cap and the homology and morse routes' range.
+#: The CLI's ``matching`` command checks it after its budget guard, as
+#: ``homology`` does, so K10 reports the budget and K9 the cap.
 HOMOLOGY_VERTEX_CAP = 7
 
 

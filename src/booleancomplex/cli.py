@@ -19,6 +19,7 @@ from .beta import (
     FAMILIES,
     ROUTES,
     CrossCheckError,
+    check_homology_cap,
     cross_check,
     family_graph,
     resolve_family,
@@ -83,7 +84,8 @@ def build_parser():
     p.add_argument("--cycles", action="store_true", help="also print a top cycle basis")
 
     p = sub.add_parser("family", help="build a named family member and report its count")
-    add_common(p)
+    p.add_argument("--family", required=True, help='family spec like "E:8" or "affineE:8"')
+    p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("crosscheck", help="run all methods and compare")
     add_common(p)
@@ -118,6 +120,17 @@ def _load_graph(args):
 
 def _graph_json(graph):
     return {"vertices": list(graph.vertices), "edges": [list(e) for e in graph.edges]}
+
+
+def _matching_json(matching):
+    return {
+        "at_vertex": matching.at_vertex,
+        "pairs": [
+            {"lower": format_word(lo), "upper": format_word(up)} for lo, up in matching.pairs
+        ],
+        "unmatched_rank0": format_word(matching.unmatched_rank0),
+        "unmatched_maximal": [format_word(w) for w in matching.unmatched_maximal],
+    }
 
 
 def _emit(args, payload, lines):
@@ -204,6 +217,7 @@ def _cmd_matching(args):
         anchor = internal[args.at_vertex]
     # count first: the budget then bounds the build, whose sub-ideals are no larger
     rank_sizes(graph, args.budget)
+    check_homology_cap(graph, "matchings")
     ideal = enumerate_ideal(graph)
     matching = morse.build_h_matching(graph, anchor)
     acyclic = morse.verify_acyclic(matching, ideal)
@@ -219,7 +233,7 @@ def _cmd_matching(args):
     payload = {
         "command": "matching",
         "graph": _graph_json(graph),
-        "matching": json.loads(matching.to_json()),
+        "matching": _matching_json(matching),
         "acyclic": acyclic,
         "h1": report.h1,
         "h2": report.h2,
@@ -252,8 +266,6 @@ def _cmd_homology(args):
 
 
 def _cmd_family(args):
-    if args.family is None:
-        raise GraphError("family subcommand needs --family")
     name, n = resolve_family(args.family)
     row = FAMILIES[name]
     graph = row.build(n)
@@ -292,11 +304,14 @@ def _cmd_crosscheck(args):
         except CrossCheckError as exc:
             _emit_mismatch(args, exc)
             return EXIT_MISMATCH
-        lines = [f"{len(rows)} isomorphism classes checked, all methods agree"]
+        skipped = [name for name in ROUTES if any(name in r.skipped for r in rows)]
+        lines = ["skipped (over budget): " + ", ".join(skipped)] if skipped else []
+        lines.append(f"{len(rows)} isomorphism classes checked, all methods agree")
         payload = {
             "command": "crosscheck",
             "sweep": args.sweep,
             "classes": len(rows),
+            "skipped": skipped,
             "agree": True,
         }
         _emit(args, payload, lines)

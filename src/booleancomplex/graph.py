@@ -11,7 +11,7 @@ The module also has the plain constructors behind the named families (paths,
 forked paths, double forks, T-shapes, cycles, complete graphs, stars,
 edgeless graphs; the family table itself is in ``beta``), exact canonical
 keys for isomorphism-keyed memoisation, one representative per isomorphism
-class for exhaustive sweeps, and a plain text edge-list format.
+class for exhaustive sweeps, and a plain text edge-list parser.
 """
 
 from __future__ import annotations
@@ -117,9 +117,6 @@ class Graph:
 
     def adjacent(self, u, v):
         return (self.neighbor_mask(u) >> self._check_label(v)) & 1 == 1
-
-    def isolated_vertices(self):
-        return tuple(v for v in _bits(self._vmask) if self._adj[v] == 0)
 
     def has_isolated_vertex(self):
         return any(self._adj[v] == 0 for v in _bits(self._vmask))
@@ -428,10 +425,3 @@ def parse_edge_list(text):
         vertices=[dense[x] for x in singles],
     )
     return graph, tuple(labels)
-
-
-def format_edge_list(graph):
-    """Inverse of parse_edge_list for graphs already on dense labels."""
-    lines = [f"{u} {v}" for u, v in graph.edges]
-    lines += [str(v) for v in graph.isolated_vertices()]
-    return "\n".join(lines) + ("\n" if lines else "")

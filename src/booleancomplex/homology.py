@@ -30,7 +30,6 @@ from .ideal import (
     enumerate_ideal,
     format_word,
     normalize,
-    parse_word,
 )
 
 @dataclass(frozen=True)
@@ -45,13 +44,6 @@ class Gf2Chain:
 
     def words(self):
         return sorted(self.support)
-
-    def to_json(self):
-        return json.dumps([format_word(w) for w in self.words()])
-
-    @classmethod
-    def from_json(cls, dimension, text):
-        return cls(dimension, frozenset(parse_word(w) for w in json.loads(text)))
 
 
 # ----------------------------------------------------------------------

@@ -186,15 +186,6 @@ def format_word(word):
     return "".join(str(x) for x in word)
 
 
-def parse_word(text):
-    text = text.strip()
-    if not text:
-        raise GraphError("empty word")
-    if "-" in text:
-        return tuple(int(p) for p in text.split("-"))
-    return tuple(int(c) for c in text)
-
-
 # ----------------------------------------------------------------------
 # the ideal
 

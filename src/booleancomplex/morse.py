@@ -31,7 +31,6 @@ one face relation: ``BooleanIdeal.is_cover`` or ``BooleanIdeal.face_table``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +42,6 @@ from .ideal import (
     enumerate_ideal,
     format_word,
     normalize,
-    parse_word,
     trace_order,
 )
 
@@ -75,34 +73,6 @@ class Matching:
 
     def is_matched(self, word):
         return word in self.partner
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "at_vertex": self.at_vertex,
-                "pairs": [
-                    {"lower": format_word(lo), "upper": format_word(up)}
-                    for lo, up in self.pairs
-                ],
-                "unmatched_rank0": format_word(self.unmatched_rank0),
-                "unmatched_maximal": [format_word(w) for w in self.unmatched_maximal],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, graph, text):
-        data = json.loads(text)
-        return cls(
-            graph=graph,
-            at_vertex=data["at_vertex"],
-            pairs=tuple(
-                (parse_word(p["lower"]), parse_word(p["upper"]))
-                for p in data["pairs"]
-            ),
-            unmatched_rank0=parse_word(data["unmatched_rank0"]),
-            unmatched_maximal=tuple(parse_word(w) for w in data["unmatched_maximal"]),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,22 @@ def test_recursion_matches_subset_formula_above_ten_vertices(case):
     assert beta_recursive(g.relabel(perm), memo).value == want
 
 
+@st.composite
+def connected_graphs_8_to_12(draw):
+    # a random tree (so no vertex is isolated) plus up to seven more edges
+    n = draw(st.integers(8, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    extra = draw(st.lists(st.sampled_from(rest), max_size=7, unique=True))
+    return Graph(edges=sorted(edges) + extra, vertices=range(n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(connected_graphs_8_to_12())
+def test_euler_route_matches_recursion_on_8_to_12_vertices(g):
+    assert beta_euler(g).value == beta(g)
+
+
 def test_recursion_choice_independent():
     # the three-term recursion gives the same count whichever edge is cut
     rng = random.Random(61)

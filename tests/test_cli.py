@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from booleancomplex import ideal as ideal_module
 from booleancomplex.cli import (
     EXIT_BUDGET,
@@ -78,8 +80,15 @@ def test_matching_verifies(capsys):
     code, data = run_json(capsys, ["matching", "--family", "A:3", "--at-vertex", "0"])
     assert code == EXIT_OK
     assert data["acyclic"] and data["h1"] and data["h2"] and data["h3"]
-    assert data["matching"]["at_vertex"] == 0
-    assert len(data["matching"]["unmatched_maximal"]) == 1
+    assert data["matching"] == {
+        "at_vertex": 0,
+        "pairs": [
+            {"lower": lo, "upper": up}
+            for lo, up in (("1", "21"), ("10", "210"), ("0", "02"), ("12", "102"), ("01", "021"))
+        ],
+        "unmatched_rank0": "2",
+        "unmatched_maximal": ["012"],
+    }
 
 
 def test_matching_at_vertex_reads_input_labels(capsys):
@@ -123,12 +132,16 @@ def test_counting_commands_never_enumerate(capsys):
 
 def test_over_budget_and_over_cap_messages(capsys):
     # K10 has 9,864,100 elements; the exact count refuses it at once
-    for argv in (["enumerate", "--words"], ["homology"], ["chi"]):
+    for argv in (["enumerate", "--words"], ["homology"], ["matching"], ["chi"]):
         assert run(argv + ["--family", "K:10"]) == EXIT_BUDGET, argv
         assert "exceeds the element budget (2000000)" in capsys.readouterr().err
-    # K9 fits the budget, so homology reaches its vertex cap
-    assert run(["homology", "--family", "K:9"]) == EXIT_BUDGET
-    assert "capped at 7 vertices, got 9" in capsys.readouterr().err
+    # K9 fits the budget, so homology and matching reach the vertex cap
+    # before they enumerate anything
+    misses = ideal_module._enumerate.cache_info().misses
+    for argv in (["homology"], ["matching"]):
+        assert run(argv + ["--family", "K:9"]) == EXIT_BUDGET, argv
+        assert "capped at 7 vertices, got 9" in capsys.readouterr().err
+    assert ideal_module._enumerate.cache_info().misses == misses
 
 
 def test_homology_and_morse_routes_refuse_past_the_vertex_cap(capsys):
@@ -149,7 +162,11 @@ def test_family_report(capsys):
 
 
 def test_family_requires_family_flag(capsys):
-    assert run(["family", "--edges", K3_EDGES]) == EXIT_PARSE
+    # family reads only --family and --json; argparse refuses anything else
+    for argv in (["--edges", K3_EDGES], ["--family", "K:9", "--budget", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["family"] + argv)
+        assert exc.value.code == EXIT_PARSE, argv
 
 
 def test_family_spec_errors_name_the_fault(capsys):
@@ -178,6 +195,7 @@ def test_crosscheck_sweep_five_vertices_exits_zero(capsys):
     code, data = run_json(capsys, ["crosscheck", "--sweep", "5"])
     assert code == EXIT_OK
     assert data["classes"] == 52 and data["agree"] is True
+    assert data["skipped"] == []
 
 
 def test_crosscheck_sweep_out_of_range_is_parse_error(capsys):
@@ -197,6 +215,14 @@ def test_crosscheck_skips_routes_over_budget(capsys):
     assert code == EXIT_OK
     assert data["skipped"] == ["euler", "homology", "morse"]
     assert data["values"] == {"recursion": 1854, "subset_formula": 1854}
+
+
+def test_crosscheck_sweep_reports_skipped_routes(capsys):
+    code, data = run_json(capsys, ["crosscheck", "--sweep", "3", "--budget", "1"])
+    assert code == EXIT_OK
+    assert data["skipped"] == ["euler", "homology", "morse"]
+    assert run(["crosscheck", "--sweep", "3", "--budget", "1"]) == EXIT_OK
+    assert "skipped (over budget): euler, homology, morse" in capsys.readouterr().out
 
 
 def test_crosscheck_mismatch_exit(capsys, monkeypatch):

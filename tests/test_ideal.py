@@ -23,7 +23,6 @@ from booleancomplex import (
     euler_characteristic,
     format_word,
     normalize,
-    parse_word,
     path_graph,
     rank_sizes,
     representatives,
@@ -377,7 +376,3 @@ def test_admits_adjacent_pair_matches_brute_force_on_six_vertices():
 def test_format_and_parse_words():
     assert format_word((1, 2, 3)) == "123"
     assert format_word((3, 12, 7)) == "3-12-7"
-    assert parse_word("123") == (1, 2, 3)
-    assert parse_word("3-12-7") == (3, 12, 7)
-    with pytest.raises(GraphError):
-        parse_word("")

@@ -320,15 +320,6 @@ def test_block_substitution_is_an_order_isomorphism():
 
 
 # ----------------------------------------------------------------------
-# serialization
-
-def test_matching_json_round_trip():
-    m = build_h_matching(A3, 1)
-    again = Matching.from_json(A3, m.to_json())
-    assert again == m
-
-
-# ----------------------------------------------------------------------
 # skeleta
 
 def test_skeleton_recursion_a3():
