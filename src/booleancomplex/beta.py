@@ -259,7 +259,7 @@ def _from_rank(k, build, beta):
 
 def _fixed(rank, path_vertices, beta):
     """A family with a single rank, whose graph is a path."""
-    return Family(lambda n: n == rank, str(rank), lambda n: path_graph(path_vertices),
+    return Family(lambda n: n == rank, f"n = {rank}", lambda n: path_graph(path_vertices),
                   lambda n: beta, rank)
 
 
@@ -273,7 +273,7 @@ FAMILIES = {
     "G2": _fixed(2, 2, beta=1),
     "H3": _fixed(3, 3, beta=1),
     "H4": _fixed(4, 4, beta=2),
-    "I2": Family(lambda n: n >= 2, "any m >= 2", lambda n: path_graph(2), lambda n: 1, 2),
+    "I2": Family(lambda n: n >= 2, "m >= 2", lambda n: path_graph(2), lambda n: 1, 2),
     "affineA": _from_rank(1, lambda n: path_graph(2) if n == 1 else cycle_graph(n + 1),
                           cycle_count),
     "affineB": _from_rank(3, forked_path_graph, lambda n: fibonacci(n - 2)),
@@ -311,7 +311,7 @@ def resolve_family(text):
     if n is None:
         raise FamilyError(f"family {family} needs a rank, e.g. {family}:4")
     if not row.valid(n):
-        raise FamilyError(f"family {family} needs n {row.ranks}, got {n}")
+        raise FamilyError(f"family {family} needs {row.ranks}, got {n}")
     return family, n
 
 

@@ -15,6 +15,13 @@ one: the full-length classes on a vertex set are its acyclic orientations.
 and refuses an ideal over its budget before building any.  Both raise
 ``BudgetError`` exactly when the element count exceeds the budget.
 
+An enumerated ideal numbers its elements rank by rank (flat ids) and keeps
+the successor relation its enumeration computes: one ``array('i')`` column
+per vertex x, holding the id of each element with x appended (-1 when x is
+in it).  Faces, covers and the images of words in related ideals are then
+id lookups; ``normalize`` and ``word_faces`` remain the reference
+definitions the tests compare against.
+
 >>> from booleancomplex.graph import path_graph
 >>> a3 = path_graph(3)                 # vertices 0-1-2, edges {0,1} and {1,2}
 >>> normalize((2, 0, 1), a3)           # 2 and 0 commute, 2 and 1 do not
@@ -25,7 +32,10 @@ and refuses an ideal over its budget before building any.  Both raise
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from array import array
 from functools import lru_cache
 
 from .graph import GraphError, UnknownVertexError, _bits
@@ -192,29 +202,40 @@ def format_word(word):
 class BooleanIdeal:
     """All commutation classes of a graph, grouped by rank, with face data.
 
-    ranks[r] lists the rank-r normal forms sorted lexicographically; face
-    tables are built lazily per rank since several consumers only need the
-    top one.  With ``is_cover`` they are the one face relation others read.
+    ranks[r] lists the rank-r normal forms sorted lexicographically; an
+    element's flat id is its position in ``words``, the ranks laid end to
+    end.  ``succ[x][i]`` is the flat id of element i with x appended, or -1
+    when x is already in its word.  Face tables are built lazily per rank
+    since several consumers only need the top one.  With ``is_cover`` they
+    are the one face relation others read; both find a face by id lookups
+    through ``succ``, never by normalising a word.
     """
 
-    __slots__ = ("graph", "ranks", "_index", "_faces")
+    __slots__ = ("graph", "ranks", "words", "succ", "_index", "_offsets", "_faces")
 
-    def __init__(self, graph, ranks):
+    def __init__(self, graph, ranks, index, succ):
         self.graph = graph
         self.ranks = ranks
-        self._index = {
-            w: (r, i) for r, words in enumerate(ranks) for i, w in enumerate(words)
-        }
+        self.words = tuple(w for words in ranks for w in words)
+        self.succ = succ
+        self._index = index
+        self._offsets = tuple(itertools.accumulate((len(words) for words in ranks), initial=0))
         self._faces = [None] * len(ranks)
 
     def __contains__(self, word):
         return word in self._index
 
-    def index_of(self, word):
+    def flat_id(self, word):
         try:
             return self._index[word]
         except KeyError:
             raise UnknownElementError(f"{format_word(word)} is not an element") from None
+
+    def index_of(self, word):
+        """(rank, position within the rank) of an element."""
+        i = self.flat_id(word)
+        r = bisect.bisect_right(self._offsets, i) - 1
+        return r, i - self._offsets[r]
 
     def rank_of(self, word):
         return self.index_of(word)[0]
@@ -227,14 +248,34 @@ class BooleanIdeal:
         return tuple(len(words) for words in self.ranks)
 
     def element_count(self):
-        return sum(len(words) for words in self.ranks)
+        return len(self.words)
 
     def elements(self):
-        for words in self.ranks:
-            yield from words
+        return iter(self.words)
 
     def maximal_elements(self):
         return self.ranks[-1]
+
+    def class_id(self, word):
+        """Flat id of the class of any repetition-free word on the vertices,
+        its letters appended one at a time through ``succ``."""
+        succ = self.succ
+        i = self._index[word[:1]]
+        for x in word[1:]:
+            i = succ[x][i]
+        return i
+
+    def _face_id(self, word, j):
+        """Flat id of the element ``word`` (a normal form) without its j-th
+        letter: the prefix ``word[:j]`` is a normal form, so it is looked up,
+        and the letters after it are appended."""
+        if j == 0:
+            return self.class_id(word[1:])
+        succ = self.succ
+        i = self._index[word[:j]]
+        for x in word[j + 1:]:
+            i = succ[x][i]
+        return i
 
     def face_table(self, r):
         """For each rank-r element, the sorted tuple of its face indices in
@@ -242,23 +283,46 @@ class BooleanIdeal:
         if not 1 <= r <= self.top_rank:
             raise GraphError(f"rank {r} out of range 1..{self.top_rank}")
         if self._faces[r] is None:
-            index = self._index  # a face of a rank-r word has rank r - 1
+            succ, index, base = self.succ, self._index, self._offsets[r - 1]
+            # one int object per face position, shared by every tuple
+            position = list(range(len(self.ranks[r - 1])))
             table = []
             for w in self.ranks[r]:
-                faces = tuple(sorted(index[f][1] for f in word_faces(w, self.graph)))
+                # _face_id inlined: the face without w[j] appends w[j+1:] to
+                # ``head``, the id of the prefix w[:j], grown letter by letter
+                i = index[w[1:2]]
+                for x in w[2:]:
+                    i = succ[x][i]
+                faces = [position[i - base]]
+                head = index[w[:1]]
+                for j in range(1, len(w)):
+                    i = head
+                    for x in w[j + 1:]:
+                        i = succ[x][i]
+                    faces.append(position[i - base])
+                    head = succ[w[j]][head]
+                faces.sort()
+                faces = tuple(faces)
                 assert len(set(faces)) == len(w), "faces of a cell must be distinct"
                 table.append(faces)
             self._faces[r] = tuple(table)
         return self._faces[r]
 
     def is_cover(self, lower, upper):
-        """Is ``lower`` a codimension-1 face of ``upper``?  Only a letter of
-        ``upper`` missing from ``lower`` can be the deleted one, so one word
-        is normalised (two missing letters leave it a letter short)."""
+        """Is ``lower`` a codimension-1 face of ``upper``?"""
+        return self.covers(self.flat_id(lower), self.flat_id(upper))
+
+    def covers(self, lo, up):
+        """``is_cover`` on flat ids.  Only a letter of the upper word missing
+        from the lower one can be the deleted one, so one face is looked up
+        (two missing letters leave it a letter short)."""
+        lower, upper = self.words[lo], self.words[up]
+        if len(upper) != len(lower) + 1:
+            return False
         missing = set(upper).difference(lower)
-        return self.rank_of(upper) == self.rank_of(lower) + 1 and lower == normalize(
-            tuple(w for w in upper if w not in missing), self.graph
-        )
+        if len(missing) != 1:
+            return False
+        return self._face_id(upper, upper.index(missing.pop())) == lo
 
 
 def _over_budget(graph, budget):
@@ -284,18 +348,34 @@ def _enumerate(graph, budget):
     verts = graph.vertices
     if not _fits_every_graph(len(verts), budget):
         rank_sizes(graph, budget)  # the exact count refuses before any word is built
-    ranks = [tuple((v,) for v in verts)]
+    level = tuple((v,) for v in verts)
+    ranks = [level]
+    index = {w: i for i, w in enumerate(level)}
+    succ = {x: array("i") for x in verts}
     for _ in range(1, len(verts)):
-        nxt = set()
-        for w in ranks[-1]:
+        # each word of the level with each letter appended, word by word
+        # (None where the letter is in it), kept until the next level is
+        # sorted and given its ids; equal words are stored once
+        grown = []
+        nxt = {}
+        for w in level:
             used = 0
             for x in w:
                 used |= 1 << x
             for x in verts:
-                if (used >> x) & 1 == 0:
-                    nxt.add(append_letter(w, x, graph))
-        ranks.append(tuple(sorted(nxt)))
-    return BooleanIdeal(graph, tuple(ranks))
+                if (used >> x) & 1:
+                    grown.append(None)
+                else:
+                    u = append_letter(w, x, graph)
+                    grown.append(nxt.setdefault(u, u))
+        level = tuple(sorted(nxt))
+        ranks.append(level)
+        index.update(zip(level, itertools.count(len(index))))
+        for k, x in enumerate(verts):
+            succ[x].extend([-1 if u is None else index[u] for u in grown[k::len(verts)]])
+    for x in verts:
+        succ[x].extend(array("i", [-1]) * len(level))  # the top rank is full
+    return BooleanIdeal(graph, tuple(ranks), index, succ)
 
 
 def enumerate_ideal(graph, budget=DEFAULT_BUDGET):

@@ -24,13 +24,19 @@ complement pulls back the matching of G - e through the coarsening projection,
 the block pulls back the matching of the contraction G/e through the
 substitution alpha-x-gamma -> alpha-s-t-gamma.  An isolated anchor instead
 doubles the matching of G minus s.  The base cases are a single vertex (left
-unmatched) and edgeless graphs (pair sigma with pivot*sigma).  Every cover
-check, during the construction and in ``verify_acyclic``, reads the ideal's
-one face relation: ``BooleanIdeal.is_cover`` or ``BooleanIdeal.face_table``.
+unmatched) and edgeless graphs (pair sigma with pivot*sigma).
+
+Each step works on the flat element ids of its graph's ideal, and words are
+built once, for the ``Matching`` returned.  A word is carried to another
+ideal by appending its letters through that ideal's successor table
+(``BooleanIdeal.class_id``), never by normalising it.  Every cover check,
+during the construction and in ``verify_acyclic``, reads the ideal's one
+face relation: ``BooleanIdeal.covers``, ``is_cover`` or ``face_table``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +47,6 @@ from .ideal import (
     append_letter,
     enumerate_ideal,
     format_word,
-    normalize,
     trace_order,
 )
 
@@ -93,13 +98,21 @@ def build_h_matching(graph, s):
             got = cache[key] = _build(g, v, build)
         return got
 
-    return build(graph, s)
+    lower, upper, rank0, maximal = build(graph, s)
+    words = enumerate_ideal(graph).words
+    return Matching(
+        graph, s, tuple((words[lo], words[up]) for lo, up in zip(lower, upper)),
+        words[rank0], tuple(words[i] for i in maximal),
+    )
 
 
 def _build(g, v, build):
+    """One construction step, on flat ids of g's ideal: the matched pairs as
+    parallel arrays of lower and upper ids, the unmatched rank-0 element and
+    the unmatched maximal elements."""
     if len(g) == 1:
         # trivial matching: the lone vertex is the unmatched rank-0 element
-        return Matching(g, v, (), (v,), ())
+        return array("i"), array("i"), 0, ()
     if not g.edges:
         return _build_edgeless(g, v)
     if g.degree(v) == 0:
@@ -112,12 +125,10 @@ def _build_edgeless(g, v):
     # Pair sigma with pivot + sigma for every sigma avoiding the pivot.
     pivot = min(u for u in g.vertices if u != v)
     ideal = enumerate_ideal(g)
-    pairs = []
-    for word in ideal.elements():
-        if pivot not in word:
-            partner = tuple(sorted(word + (pivot,)))
-            pairs.append((word, partner))
-    return Matching(g, v, tuple(pairs), (pivot,), ())
+    times_pivot = ideal.succ[pivot]
+    lower = array("i", [i for i, j in enumerate(times_pivot) if j >= 0])
+    upper = array("i", [times_pivot[i] for i in lower])
+    return lower, upper, ideal.flat_id((pivot,)), ()
 
 
 def _build_isolated_anchor(g, v, build):
@@ -126,14 +137,22 @@ def _build_isolated_anchor(g, v, build):
     # each unmatched maximal sigma with sigma*v.
     h = g.delete_vertex(v)
     anchor = min(u for u in h.vertices if h.degree(u) > 0)
-    mh = build(h, anchor)
-    pairs = list(mh.pairs)
-    for lo, up in mh.pairs:
-        pairs.append((append_letter(lo, v, g), append_letter(up, v, g)))
-    pairs.append(((v,), append_letter(mh.unmatched_rank0, v, g)))
-    for word in mh.unmatched_maximal:
-        pairs.append((word, append_letter(word, v, g)))
-    return _assemble(g, v, pairs)
+    h_lower, h_upper, h_rank0, h_maximal = build(h, anchor)
+    ideal = enumerate_ideal(g)
+    times_v = ideal.succ[v]
+    # the words avoiding v are B(H)'s, with the same normal forms and order
+    lift = [i for i, j in enumerate(times_v) if j >= 0]
+    assert len(lift) == 2 * len(h_lower) + 1 + len(h_maximal), "B(H) sits inside B(G)"
+    lower = array("i", [lift[i] for i in h_lower])
+    upper = array("i", [lift[i] for i in h_upper])
+    lower.extend([times_v[i] for i in lower])
+    upper.extend([times_v[i] for i in upper])
+    lower.append(ideal.flat_id((v,)))
+    upper.append(times_v[lift[h_rank0]])
+    for i in h_maximal:
+        lower.append(lift[i])
+        upper.append(times_v[lift[i]])
+    return _assemble(ideal, lower, upper)
 
 
 def _build_along_edge(g, v, build):
@@ -142,63 +161,66 @@ def _build_along_edge(g, v, build):
     x = min(v, t)  # contraction names the merged vertex by the smaller label
 
     ideal = enumerate_ideal(g)
-    in_block = {w: admits_adjacent_pair(w, edge, g) for w in ideal.elements()}
+    in_block = bytes(admits_adjacent_pair(w, edge, g) for w in ideal.words)
 
     h = g.delete_edge(edge)
-    mh = build(h, v)
-    # the complement block maps bijectively onto B(G - e) by re-normalising
-    # in the coarser commutation relation
-    section = {}
-    for w, blocked in in_block.items():
+    h_lower, h_upper = build(h, v)[:2]
+    # the complement block maps bijectively onto B(G - e) by taking each
+    # word's class in the coarser commutation relation
+    h_ideal = enumerate_ideal(h)
+    section = array("i", [-1]) * h_ideal.element_count()
+    for i, (w, blocked) in enumerate(zip(ideal.words, in_block)):
         if not blocked:
-            image = normalize(w, h)
-            assert image not in section, "projection must be injective off the block"
-            section[image] = w
-    assert len(section) == enumerate_ideal(h).element_count()
+            image = h_ideal.class_id(w)
+            assert section[image] < 0, "projection must be injective off the block"
+            section[image] = i
+    block_size = sum(in_block)
+    assert len(ideal.words) - block_size == len(section)
 
-    pairs = []
-    for lo, up in mh.pairs:
+    lower, upper = array("i"), array("i")
+    for lo, up in zip(h_lower, h_upper):
         glo, gup = section[lo], section[up]
         # a matched pair downstairs lifts to a genuine cover upstairs
-        assert ideal.is_cover(glo, gup), "lifted pair must be a cover"
-        pairs.append((glo, gup))
+        assert ideal.covers(glo, gup), "lifted pair must be a cover"
+        lower.append(glo)
+        upper.append(gup)
 
     f = g.contract_edge(edge)
-    mf = build(f, x)
+    f_lower, f_upper = build(f, x)[:2]
+    f_ideal = enumerate_ideal(f)
 
     def substitute(word):
         i = word.index(x)
-        return normalize(word[:i] + (v, t) + word[i + 1:], g)
+        return ideal.class_id(word[:i] + (v, t) + word[i + 1:])
 
-    block_size = sum(1 for blocked in in_block.values() if blocked)
-    x_size = sum(1 for w in enumerate_ideal(f).elements() if x in w)
-    assert block_size == x_size, "substitution must be a bijection onto the block"
+    has_x = f_ideal.succ[x]  # -1 exactly at the elements containing x
+    assert block_size == has_x.count(-1), "substitution must be a bijection onto the block"
 
-    for lo, up in mf.pairs:
-        if x in lo and x in up:
-            glo, gup = substitute(lo), substitute(up)
-            assert ideal.is_cover(glo, gup), "substituted pair must be a cover"
-            pairs.append((glo, gup))
+    f_words = f_ideal.words
+    for lo, up in zip(f_lower, f_upper):
+        if has_x[lo] < 0 and has_x[up] < 0:
+            glo, gup = substitute(f_words[lo]), substitute(f_words[up])
+            assert ideal.covers(glo, gup), "substituted pair must be a cover"
+            lower.append(glo)
+            upper.append(gup)
 
-    return _assemble(g, v, pairs)
+    return _assemble(ideal, lower, upper)
 
 
-def _assemble(g, v, pairs):
+def _assemble(ideal, lower, upper):
     """Finish a construction step: locate the unmatched elements and check
     the shape promised by H1."""
-    ideal = enumerate_ideal(g)
-    matched = set()
-    for lo, up in pairs:
-        assert lo not in matched and up not in matched, "element matched twice"
-        matched.add(lo)
-        matched.add(up)
-    unmatched0 = [w for w in ideal.ranks[0] if w not in matched]
+    matched = bytearray(ideal.element_count())
+    for lo, up in zip(lower, upper):
+        assert not matched[lo] and not matched[up], "element matched twice"
+        matched[lo] = matched[up] = 1
+    sizes = ideal.rank_sizes()
+    unmatched0 = [i for i in range(sizes[0]) if not matched[i]]
     assert len(unmatched0) == 1, "exactly one rank-0 element stays unmatched"
-    for r in range(1, ideal.top_rank):
-        assert all(w in matched for w in ideal.ranks[r]), \
-            "middle ranks must be fully matched"
-    top = tuple(w for w in ideal.ranks[-1] if w not in matched)
-    return Matching(g, v, tuple(pairs), unmatched0[0], top)
+    top_start = len(matched) - sizes[-1]
+    assert all(matched[sizes[0]:top_start]), "middle ranks must be fully matched"
+    top = tuple(i for i in range(top_start, len(matched)) if not matched[i])
+    return lower, upper, unmatched0[0], top
 
 
 # ----------------------------------------------------------------------

@@ -174,7 +174,10 @@ def test_family_spec_errors_name_the_fault(capsys):
         ("Z:3", "unknown family 'Z'"),
         ("A:x", "bad rank in family spec 'A:x'"),
         ("A", "family A needs a rank, e.g. A:4"),
-        ("E:5", "family E needs n n in {6, 7, 8}, got 5"),
+        ("E:5", "family E needs n in {6, 7, 8}, got 5"),
+        ("A:0", "family A needs n >= 1, got 0"),
+        ("I2:1", "family I2 needs m >= 2, got 1"),
+        ("F4:5", "family F4 needs n = 4, got 5"),
     ):
         assert run(["family", "--family", spec]) == EXIT_PARSE, spec
         captured = capsys.readouterr()

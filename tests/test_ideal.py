@@ -6,6 +6,7 @@ oracles in helpers (breadth-first commuting swaps) and frozen here.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,10 @@ from booleancomplex import (
     GraphError,
     UnknownElementError,
     admits_adjacent_pair,
+    betti_gf2,
     complete_graph,
     count_rank_path,
+    cross_check,
     edgeless_graph,
     enumerate_ideal,
     euler_characteristic,
@@ -26,6 +29,7 @@ from booleancomplex import (
     path_graph,
     rank_sizes,
     representatives,
+    top_cycle_basis,
     trace_order,
     word_faces,
 )
@@ -288,6 +292,79 @@ def test_is_cover_matches_every_face_definition():
                 assert not ideal.is_cover(up, ideal.ranks[r - 1][0])
                 if r >= 2:
                     assert not ideal.is_cover(ideal.ranks[r - 2][0], up)
+
+
+# ----------------------------------------------------------------------
+# the successor table and the face tables it serves
+
+def _relabelled_seven_vertex_graphs(seed, count):
+    """Seeded G(7, 1/2) graphs relabelled onto labels up to 40."""
+    rng = random.Random(seed)
+    return [
+        random_graph(rng, 7).relabel(dict(zip(range(7), rng.sample(range(41), 7))))
+        for _ in range(count)
+    ]
+
+
+def test_successor_table_is_append_letter():
+    for g in iso_classes(5):
+        ideal = enumerate_ideal(g)
+        for r, words in enumerate(ideal.ranks):
+            for i, w in enumerate(words):
+                assert ideal.index_of(w) == (r, i)
+                flat = ideal.flat_id(w)
+                assert ideal.words[flat] == w
+                for x in g.vertices:
+                    if x in w:
+                        assert ideal.succ[x][flat] == -1
+                    else:
+                        assert ideal.words[ideal.succ[x][flat]] == append_letter(w, x, g)
+        assert all(len(column) == ideal.element_count() for column in ideal.succ.values())
+
+
+def test_face_table_matches_word_faces():
+    graphs = list(iso_classes(6)) + _relabelled_seven_vertex_graphs(61, 6)
+    for g in graphs:
+        ideal = enumerate_ideal(g)
+        for r in range(1, ideal.top_rank + 1):
+            below = {w: i for i, w in enumerate(ideal.ranks[r - 1])}
+            expected = tuple(
+                tuple(sorted(below[f] for f in word_faces(w, g)))
+                for w in ideal.ranks[r]
+            )
+            assert ideal.face_table(r) == expected
+
+
+def test_enumeration_appends_each_free_letter_once(monkeypatch):
+    calls = []
+
+    def counted(word, x, graph):
+        calls.append(word)
+        return append_letter(word, x, graph)
+
+    monkeypatch.setattr(ideal_mod, "append_letter", counted)
+    for g in [*iso_classes(4), *_relabelled_seven_vertex_graphs(67, 2)]:
+        calls.clear()
+        ideal = ideal_mod._enumerate.__wrapped__(g, ideal_mod.DEFAULT_BUDGET)
+        below_top = [w for words in ideal.ranks[:-1] for w in words]
+        assert len(calls) == sum(len(g) - len(w) for w in below_top)
+
+
+def test_hot_paths_never_normalise(monkeypatch):
+    def refuse(word, graph):
+        raise AssertionError(f"normalize called on {word!r}")
+
+    original = ideal_mod.normalize
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "booleancomplex" and vars(module).get("normalize") is original:
+            monkeypatch.setattr(module, "normalize", refuse)
+    ideal_mod._enumerate.cache_clear()
+    rng = random.Random(71)
+    report = cross_check(random_graph(rng, 6))
+    assert report.agree and report.skipped == ()
+    seven = _relabelled_seven_vertex_graphs(73, 1)[0]
+    betti = betti_gf2(seven)
+    assert len(top_cycle_basis(seven)) == betti[-1]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Anchored matchings: construction, acyclicity, the three properties,
 block structure of the edge split, and skeleton counts."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -223,6 +224,23 @@ def test_matchings_pass_everything_on_every_graph_up_to_four():
             assert len(m.unmatched_maximal) == want
             assert verify_acyclic(m, ideal)
             assert verify_h_properties(m, ideal).all_hold
+
+
+def test_matchings_are_pinned_up_to_five_vertices():
+    # SHA-256 of every anchored matching of every class up to 5 vertices, as
+    # built when the construction normalised words; building on element ids
+    # must leave every pair, and its order, as it was
+    digest = hashlib.sha256()
+    count = 0
+    for g in iso_classes(5):
+        for s in g.vertices:
+            m = build_h_matching(g, s)
+            digest.update(repr((m.pairs, m.unmatched_rank0, m.unmatched_maximal)).encode())
+            count += 1
+    assert count == 231
+    assert digest.hexdigest() == (
+        "26a8e5bc21ad759c5d48eacf06e704baf13516018b86d8bcaedce3e2a13e0017"
+    )
 
 
 def test_matchings_pass_everything_on_random_six_vertex_graphs():
