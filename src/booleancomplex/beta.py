@@ -38,24 +38,10 @@ from .graph import (
     star_graph,
     tshape_graph,
 )
-from .ideal import BudgetError, DEFAULT_BUDGET, euler_characteristic, rank_sizes
+from .ideal import BudgetError, euler_characteristic
 
 #: 2^24 covering subsets is the most the brute-force subset sum will walk.
 SUBSET_EDGE_CAP = 24
-
-#: Largest graph whose homology (dense GF(2) elimination in every rank) is
-#: computed: the homology module's cap and the homology and morse routes' range.
-#: The CLI's ``matching`` command checks it after its budget guard, as
-#: ``homology`` does, so K10 reports the budget and K9 the cap.
-HOMOLOGY_VERTEX_CAP = 7
-
-
-def check_homology_cap(graph, what):
-    """Raise ``BudgetError`` naming ``what`` if ``graph`` has more than
-    ``HOMOLOGY_VERTEX_CAP`` vertices; callers check before enumerating."""
-    if len(graph) > HOMOLOGY_VERTEX_CAP:
-        raise BudgetError(f"{what} capped at {HOMOLOGY_VERTEX_CAP} vertices, got {len(graph)}")
-
 
 @dataclass(frozen=True)
 class BetaResult:
@@ -126,7 +112,7 @@ def beta_recursive(graph, memo=None):
 # ----------------------------------------------------------------------
 # Euler characteristic route
 
-def beta_euler(graph, budget=DEFAULT_BUDGET):
+def beta_euler(graph, budget=None):
     """beta from the alternating rank count: (-1)^(n-1) (chi - 1)."""
     if len(graph) == 0:
         raise GraphError("beta is defined for nonempty graphs")
@@ -379,22 +365,20 @@ class CrossCheckError(RuntimeError):
 
 def _homology_route(graph, budget, memo):
     from . import homology  # local import: homology builds on this module
-    check_homology_cap(graph, "homology route")
-    rank_sizes(graph, budget)  # the route's sub-ideals are no larger
-    return homology.top_betti(graph)
+    return homology.top_betti(graph, budget)
 
 
 def _morse_route(graph, budget, memo):
     from . import morse  # local import: morse builds on this module
-    check_homology_cap(graph, "morse route")
-    rank_sizes(graph, budget)  # the route's sub-ideals are no larger
-    return len(morse.build_h_matching(graph, graph.vertices[0]).unmatched_maximal)
+    return len(morse.build_h_matching(graph, graph.vertices[0], budget).unmatched_maximal)
 
 
 #: Every route, in the order cross_check runs and reports them.  Each maps
-#: ``(graph, budget, memo)`` to its count (memo may be None), raises
-#: ``BudgetError`` outside its range, and looks its route function up when
-#: called, so a rebound module attribute is used.
+#: ``(graph, budget, memo)`` to its count (memo and budget may be None).  A
+#: route raises ``BudgetError`` only when its ideal's element count exceeds
+#: the budget (the default for counting or for building, by route) or, for
+#: the subset formula, past ``SUBSET_EDGE_CAP`` edges.  Each looks its route
+#: function up when called, so a rebound module attribute is used.
 ROUTES = {
     "recursion": lambda g, budget, memo: beta_recursive(g, memo).value,
     "euler": lambda g, budget, memo: beta_euler(g, budget).value,
@@ -404,7 +388,7 @@ ROUTES = {
 }
 
 
-def cross_check(graph, memo=None, budget=DEFAULT_BUDGET):
+def cross_check(graph, memo=None, budget=None):
     """Run every route of ``ROUTES`` as ``route(graph, budget, memo)`` (morse
     anchored at the smallest vertex) and compare; a route that raises
     ``BudgetError`` is skipped."""

@@ -19,13 +19,13 @@ from .beta import (
     FAMILIES,
     ROUTES,
     CrossCheckError,
-    check_homology_cap,
     cross_check,
     family_graph,
     resolve_family,
 )
 from .graph import GraphError, isomorphism_classes, parse_edge_list
 from .ideal import (
+    BUILD_BUDGET,
     BudgetError,
     DEFAULT_BUDGET,
     enumerate_ideal,
@@ -57,8 +57,9 @@ def build_parser():
         src.add_argument("--file", help="path of an edge-list file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
-            "--budget", type=int, default=DEFAULT_BUDGET,
-            help="ideal enumeration budget (elements)",
+            "--budget", type=int, default=None,
+            help=f"most ideal elements to count or build (default {DEFAULT_BUDGET} to "
+            f"count, {BUILD_BUDGET} to build)",
         )
 
     p = sub.add_parser("beta", help="sphere count by the requested methods")
@@ -215,11 +216,8 @@ def _cmd_matching(args):
         if args.at_vertex not in internal:
             raise GraphError(f"vertex {args.at_vertex} not in the input graph")
         anchor = internal[args.at_vertex]
-    # count first: the budget then bounds the build, whose sub-ideals are no larger
-    rank_sizes(graph, args.budget)
-    check_homology_cap(graph, "matchings")
-    ideal = enumerate_ideal(graph)
-    matching = morse.build_h_matching(graph, anchor)
+    matching = morse.build_h_matching(graph, anchor, args.budget)
+    ideal = enumerate_ideal(graph, args.budget)
     acyclic = morse.verify_acyclic(matching, ideal)
     report = morse.verify_h_properties(matching, ideal)
     lines = _describe_graph(graph, mapping)
@@ -245,8 +243,7 @@ def _cmd_matching(args):
 
 def _cmd_homology(args):
     graph, mapping = _load_graph(args)
-    rank_sizes(graph, args.budget)  # the budget guard, before any work
-    betti = homology.betti_gf2(graph)
+    betti = homology.betti_gf2(graph, args.budget)
     lines = _describe_graph(graph, mapping)
     lines.append("reduced Betti numbers: " + " ".join(map(str, betti)))
     payload = {
@@ -255,7 +252,7 @@ def _cmd_homology(args):
         "betti": list(betti),
     }
     if args.cycles:
-        basis = homology.top_cycle_basis(graph)
+        basis = homology.top_cycle_basis(graph, args.budget)
         payload["top_cycles"] = [[format_word(w) for w in c.words()] for c in basis]
         for i, chain in enumerate(basis):
             lines.append(

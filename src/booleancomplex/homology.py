@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .beta import check_homology_cap, fibonacci
+from .beta import fibonacci
 from .graph import Graph, GraphError, _bits
 from .ideal import (
     enumerate_ideal,
@@ -110,10 +110,9 @@ def boundary_columns(ideal, k):
     return tuple(sum(1 << i for i in faces) for faces in ideal.face_table(k))
 
 
-def betti_gf2(graph):
+def betti_gf2(graph, budget=None):
     """Reduced mod-2 Betti numbers (b0, ..., b_top), augmentation included."""
-    check_homology_cap(graph, "full Betti vectors")
-    ideal = enumerate_ideal(graph)
+    ideal = enumerate_ideal(graph, budget)
     top = ideal.top_rank
     sizes = ideal.rank_sizes()
     ranks = [gf2_rank(boundary_columns(ideal, k)) for k in range(top + 1)]
@@ -121,20 +120,19 @@ def betti_gf2(graph):
     return tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
-def top_betti(graph):
+def top_betti(graph, budget=None):
     """dim of the top homology = nullity of the top boundary (top cells have
-    no coboundary; at rank 0 it is the augmentation), cheap enough to run
-    where full vectors are not."""
-    ideal = enumerate_ideal(graph)
+    no coboundary; at rank 0 it is the augmentation), cheaper than the full
+    vector."""
+    ideal = enumerate_ideal(graph, budget)
     cols = boundary_columns(ideal, ideal.top_rank)
     return len(cols) - gf2_rank(cols)
 
 
-def top_cycle_basis(graph):
+def top_cycle_basis(graph, budget=None):
     """Canonical basis of the top-degree cycle space: the reduced-echelon
     form of ker(top boundary) in normal-form cell order."""
-    check_homology_cap(graph, "cycle bases")
-    ideal = enumerate_ideal(graph)
+    ideal = enumerate_ideal(graph, budget)
     top = ideal.top_rank
     cells = ideal.ranks[top]
     # at top = 0 this is the reduced kernel of the augmentation

@@ -13,7 +13,9 @@ The empty word is the implicit rank -1 minimum: never stored, never a cell.
 one: the full-length classes on a vertex set are its acyclic orientations.
 ``enumerate_ideal`` builds every class, for the consumers that read words,
 and refuses an ideal over its budget before building any.  Both raise
-``BudgetError`` exactly when the element count exceeds the budget.
+``BudgetError`` exactly when the element count exceeds the budget, the only
+reason either refuses a graph.  A budget of None means ``DEFAULT_BUDGET`` to
+count and ``BUILD_BUDGET`` to build; built ideals are cached by graph alone.
 
 An enumerated ideal numbers its elements rank by rank (flat ids) and keeps
 the successor relation its enumeration computes: one ``array('i')`` column
@@ -40,9 +42,12 @@ from functools import lru_cache
 
 from .graph import GraphError, UnknownVertexError, _bits
 
-#: Guard against runaway enumerations (complete graphs blow up factorially;
-#: 9 letters with no commutations is just under a million maximal cells).
+#: Elements counted before ``rank_sizes`` refuses (it holds one integer per
+#: vertex subset, so K9's 986,409 elements count in milliseconds).
 DEFAULT_BUDGET = 2_000_000
+
+#: Elements built before ``enumerate_ideal`` refuses: K8 (109,600) fits.
+BUILD_BUDGET = 200_000
 
 
 class BudgetError(RuntimeError):
@@ -342,12 +347,10 @@ def _fits_every_graph(n, budget):
 
 
 @lru_cache(maxsize=512)
-def _enumerate(graph, budget):
+def _enumerate(graph):
     if len(graph) == 0:
         raise GraphError("the boolean ideal is defined for nonempty graphs")
     verts = graph.vertices
-    if not _fits_every_graph(len(verts), budget):
-        rank_sizes(graph, budget)  # the exact count refuses before any word is built
     level = tuple((v,) for v in verts)
     ranks = [level]
     index = {w: i for i, w in enumerate(level)}
@@ -378,9 +381,14 @@ def _enumerate(graph, budget):
     return BooleanIdeal(graph, tuple(ranks), index, succ)
 
 
-def enumerate_ideal(graph, budget=DEFAULT_BUDGET):
-    """All elements of every rank, deduplicated by normal form (cached)."""
-    return _enumerate(graph, budget)
+def enumerate_ideal(graph, budget=None):
+    """All elements of every rank, deduplicated by normal form (cached by
+    graph).  The budget, ``BUILD_BUDGET`` when None, is counted first."""
+    if budget is None:
+        budget = BUILD_BUDGET
+    if not _fits_every_graph(len(graph), budget):
+        rank_sizes(graph, budget)
+    return _enumerate(graph)
 
 
 # ----------------------------------------------------------------------
@@ -424,14 +432,17 @@ def _length_counts(comp, limit):
     return counts
 
 
-def rank_sizes(graph, budget=DEFAULT_BUDGET):
+def rank_sizes(graph, budget=None):
     """Rank sizes f_0, f_1, ..., counted without building an element.
 
     f_k sums the acyclic orientation counts of the induced subgraphs on
     k + 1 vertices.  Components contribute independently: the polynomials
     1 + sum_k f_k x^(k+1) of the components multiply.  Raises
-    ``BudgetError`` exactly when sum_k f_k exceeds ``budget``.
+    ``BudgetError`` exactly when sum_k f_k exceeds ``budget``
+    (``DEFAULT_BUDGET`` when None).
     """
+    if budget is None:
+        budget = DEFAULT_BUDGET
     n = len(graph)
     if n == 0:
         raise GraphError("the boolean ideal is defined for nonempty graphs")
@@ -451,7 +462,7 @@ def rank_sizes(graph, budget=DEFAULT_BUDGET):
     return tuple(poly[1:])
 
 
-def euler_characteristic(graph, budget=DEFAULT_BUDGET):
+def euler_characteristic(graph, budget=None):
     """Alternating sum of the rank sizes (the empty face is excluded)."""
     return sum((-1) ** r * f for r, f in enumerate(rank_sizes(graph, budget)))
 

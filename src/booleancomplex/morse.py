@@ -27,8 +27,9 @@ doubles the matching of G minus s.  The base cases are a single vertex (left
 unmatched) and edgeless graphs (pair sigma with pivot*sigma).
 
 Each step works on the flat element ids of its graph's ideal, and words are
-built once, for the ``Matching`` returned.  A word is carried to another
-ideal by appending its letters through that ideal's successor table
+built once, for the ``Matching`` returned.  The budget binds the root ideal
+alone; every ideal a step recurses into is no larger.  A word is carried to
+another ideal by appending its letters through that ideal's successor table
 (``BooleanIdeal.class_id``), never by normalising it.  Every cover check,
 during the construction and in ``verify_acyclic``, reads the ideal's one
 face relation: ``BooleanIdeal.covers``, ``is_cover`` or ``face_table``.
@@ -36,6 +37,7 @@ face relation: ``BooleanIdeal.covers``, ``is_cover`` or ``face_table``.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +49,7 @@ from .ideal import (
     append_letter,
     enumerate_ideal,
     format_word,
+    rank_sizes,
     trace_order,
 )
 
@@ -83,12 +86,14 @@ class Matching:
 # ----------------------------------------------------------------------
 # construction
 
-def build_h_matching(graph, s):
-    """Build the anchored acyclic matching of the ideal of ``graph`` at s."""
+def build_h_matching(graph, s, budget=None):
+    """Build the anchored acyclic matching of the ideal of ``graph`` at s,
+    refusing a root ideal over ``budget`` (see ``enumerate_ideal``)."""
     if len(graph) == 0:
         raise GraphError("cannot match the ideal of an empty graph")
     if s not in graph:
         raise UnknownVertexError(f"vertex {s} not in graph")
+    words = enumerate_ideal(graph, budget).words
     cache = {}
 
     def build(g, v):
@@ -99,7 +104,6 @@ def build_h_matching(graph, s):
         return got
 
     lower, upper, rank0, maximal = build(graph, s)
-    words = enumerate_ideal(graph).words
     return Matching(
         graph, s, tuple((words[lo], words[up]) for lo, up in zip(lower, upper)),
         words[rank0], tuple(words[i] for i in maximal),
@@ -124,7 +128,7 @@ def _build_edgeless(g, v):
     # everything commutes: elements are the nonempty subsets, written sorted.
     # Pair sigma with pivot + sigma for every sigma avoiding the pivot.
     pivot = min(u for u in g.vertices if u != v)
-    ideal = enumerate_ideal(g)
+    ideal = enumerate_ideal(g, math.inf)
     times_pivot = ideal.succ[pivot]
     lower = array("i", [i for i, j in enumerate(times_pivot) if j >= 0])
     upper = array("i", [times_pivot[i] for i in lower])
@@ -138,7 +142,7 @@ def _build_isolated_anchor(g, v, build):
     h = g.delete_vertex(v)
     anchor = min(u for u in h.vertices if h.degree(u) > 0)
     h_lower, h_upper, h_rank0, h_maximal = build(h, anchor)
-    ideal = enumerate_ideal(g)
+    ideal = enumerate_ideal(g, math.inf)
     times_v = ideal.succ[v]
     # the words avoiding v are B(H)'s, with the same normal forms and order
     lift = [i for i, j in enumerate(times_v) if j >= 0]
@@ -160,14 +164,14 @@ def _build_along_edge(g, v, build):
     edge = (v, t)
     x = min(v, t)  # contraction names the merged vertex by the smaller label
 
-    ideal = enumerate_ideal(g)
+    ideal = enumerate_ideal(g, math.inf)
     in_block = bytes(admits_adjacent_pair(w, edge, g) for w in ideal.words)
 
     h = g.delete_edge(edge)
     h_lower, h_upper = build(h, v)[:2]
     # the complement block maps bijectively onto B(G - e) by taking each
     # word's class in the coarser commutation relation
-    h_ideal = enumerate_ideal(h)
+    h_ideal = enumerate_ideal(h, math.inf)
     section = array("i", [-1]) * h_ideal.element_count()
     for i, (w, blocked) in enumerate(zip(ideal.words, in_block)):
         if not blocked:
@@ -187,7 +191,7 @@ def _build_along_edge(g, v, build):
 
     f = g.contract_edge(edge)
     f_lower, f_upper = build(f, x)[:2]
-    f_ideal = enumerate_ideal(f)
+    f_ideal = enumerate_ideal(f, math.inf)
 
     def substitute(word):
         i = word.index(x)
@@ -372,9 +376,8 @@ def skeleton_sphere_counts(graph, matching):
     reaches below rank 0, so u_0 = f_0 (= f_1 - u_1 + 1, the extra cell being
     the unmatched base point); this holds when the top rank is 0 as well.
     """
-    ideal = enumerate_ideal(graph)
-    sizes = ideal.rank_sizes()
-    top = ideal.top_rank
+    sizes = rank_sizes(graph)
+    top = len(sizes) - 1
     u = [0] * (top + 1)
     u[top] = len(matching.unmatched_maximal)
     for r in range(top - 1, 0, -1):

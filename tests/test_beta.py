@@ -20,6 +20,7 @@ from booleancomplex import (
     complete_graph,
     cross_check,
     cycle_count,
+    cycle_graph,
     edgeless_graph,
     family_graph,
     fibonacci,
@@ -339,18 +340,27 @@ def test_cross_check_raises_on_mismatch(monkeypatch):
 
 
 def test_cross_check_skips_over_budget_methods():
-    report = cross_check(complete_graph(8))  # 28 edges, 8 vertices
-    assert "subset_formula" in report.skipped
-    assert "homology" in report.skipped
-    assert report.values["recursion"] == beta_complete(8)
+    # 36 edges, and 986,409 elements: over the building default only
+    report = cross_check(complete_graph(9))
+    assert report.skipped == ("subset_formula", "homology", "morse")
+    assert report.values == {"recursion": 133496, "euler": 133496}
+    assert report.values["recursion"] == beta_complete(9)
     report = cross_check(complete_graph(7), budget=100)  # 13,699 elements
     assert report.skipped == ("euler", "homology", "morse")
     assert report.values == {"recursion": 1854, "subset_formula": 1854}
 
 
+def test_five_routes_agree_past_seven_vertices():
+    # every ideal here fits the building default, so no route is skipped
+    graphs = [path_graph(9), cycle_graph(9), star_graph(9), random_graph(random.Random(5), 8)]
+    reports = [cross_check(g) for g in graphs]
+    assert all(r.skipped == () and len(r.values) == 5 for r in reports)
+    assert [r.value for r in reports] == [fibonacci(8), cycle_count(8), 1, 157]
+
+
 def test_cross_check_budget_does_not_enumerate_twice():
-    # the routes' guards count under the budget; only the routes themselves
-    # enumerate, at the default budget, so a non-default one adds no miss
+    # the ideal cache is keyed by the graph alone, so a non-default budget
+    # enumerates nothing twice
     def misses(**kwargs):
         ideal_module._enumerate.cache_clear()
         cross_check(complete_graph(6), **kwargs)

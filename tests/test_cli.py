@@ -130,28 +130,41 @@ def test_counting_commands_never_enumerate(capsys):
     assert "rank sizes: 9 " in capsys.readouterr().out
 
 
-def test_over_budget_and_over_cap_messages(capsys):
-    # K10 has 9,864,100 elements; the exact count refuses it at once
-    for argv in (["enumerate", "--words"], ["homology"], ["matching"], ["chi"]):
+def test_over_budget_messages(capsys):
+    # K10 has 9,864,100 elements; counting refuses it at the counting
+    # default and building at the building default
+    for argv, budget in ((["chi"], 2_000_000), (["enumerate", "--words"], 200_000),
+                         (["homology"], 200_000), (["matching"], 200_000)):
         assert run(argv + ["--family", "K:10"]) == EXIT_BUDGET, argv
-        assert "exceeds the element budget (2000000)" in capsys.readouterr().err
-    # K9 fits the budget, so homology and matching reach the vertex cap
-    # before they enumerate anything
+        assert f"exceeds the element budget ({budget})" in capsys.readouterr().err
+    # K9's 986,409 elements are refused by the count before any is built
     misses = ideal_module._enumerate.cache_info().misses
     for argv in (["homology"], ["matching"]):
         assert run(argv + ["--family", "K:9"]) == EXIT_BUDGET, argv
-        assert "capped at 7 vertices, got 9" in capsys.readouterr().err
+        assert "exceeds the element budget (200000)" in capsys.readouterr().err
     assert ideal_module._enumerate.cache_info().misses == misses
 
 
-def test_homology_and_morse_routes_refuse_past_the_vertex_cap(capsys):
-    for method in ("homology", "morse"):
-        assert run(["beta", "--family", "A:8", "--method", method]) == EXIT_BUDGET, method
-        assert "capped at 7 vertices" in capsys.readouterr().err
-    # the cap is checked before the route's budget guard
+def test_homology_and_morse_routes_run_past_seven_vertices(capsys):
+    code, data = run_json(capsys, ["beta", "--family", "A:8", "--method", "homology,morse"])
+    assert code == EXIT_OK
+    assert data["beta"] == {"homology": 13, "morse": 13}
+    # K9 is over the building default: refused before any word is built
     misses = ideal_module._enumerate.cache_info().misses
     assert run(["beta", "--family", "K:9", "--method", "morse"]) == EXIT_BUDGET
+    assert "exceeds the element budget (200000)" in capsys.readouterr().err
     assert ideal_module._enumerate.cache_info().misses == misses
+
+
+def test_raised_budget_adds_no_enumeration(capsys):
+    # the budget binds the root; the build's sub-ideals are cached by graph
+    def misses(argv):
+        ideal_module._enumerate.cache_clear()
+        assert run(["matching", "--family", "A:5"] + argv) == EXIT_OK
+        return ideal_module._enumerate.cache_info().misses
+
+    assert misses(["--budget", "1000000"]) == misses([])
+    capsys.readouterr()
 
 
 def test_family_report(capsys):

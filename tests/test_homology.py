@@ -15,6 +15,7 @@ from booleancomplex import (
     boundary_columns,
     build_h_matching,
     complete_graph,
+    cycle_graph,
     edgeless_graph,
     enumerate_ideal,
     normalize,
@@ -23,6 +24,7 @@ from booleancomplex import (
     top_cycle_basis,
     verify_cycle,
 )
+from booleancomplex.beta import cycle_count, fibonacci
 from booleancomplex.homology import gf2_kernel, gf2_rank, gf2_rref, load_an_generators
 from helpers import iso_classes, random_graph
 
@@ -117,11 +119,19 @@ def test_betti_examples():
     assert betti_gf2(Graph(vertices=[3])) == (0,)
 
 
-def test_betti_vertex_cap():
+def test_betti_build_budget():
+    # K9's 986,409 elements are over the building default
     with pytest.raises(BudgetError):
-        betti_gf2(complete_graph(8))
+        betti_gf2(complete_graph(9))
     with pytest.raises(BudgetError):
-        top_cycle_basis(complete_graph(8))
+        top_cycle_basis(complete_graph(9))
+
+
+def test_betti_past_seven_vertices():
+    # a wedge of 9-spheres: nothing below the top, the closed form at the top
+    for g, count in ((path_graph(10), fibonacci(9)), (cycle_graph(10), cycle_count(9))):
+        assert betti_gf2(g) == (0,) * 9 + (count,), g
+    assert (fibonacci(9), cycle_count(9)) == (34, 121)
 
 
 def test_betti_concentrated_in_top_degree():

@@ -18,6 +18,7 @@ from booleancomplex import (
     UnknownElementError,
     admits_adjacent_pair,
     betti_gf2,
+    build_h_matching,
     complete_graph,
     count_rank_path,
     cross_check,
@@ -29,6 +30,7 @@ from booleancomplex import (
     path_graph,
     rank_sizes,
     representatives,
+    top_betti,
     top_cycle_basis,
     trace_order,
     word_faces,
@@ -168,6 +170,27 @@ def test_budget_stops_inside_a_rank(monkeypatch):
     with pytest.raises(BudgetError):
         enumerate_ideal(complete_graph(6), budget=10)
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("build", [
+    enumerate_ideal, top_betti, betti_gf2, top_cycle_basis,
+    lambda g: build_h_matching(g, 0),
+], ids=["enumerate_ideal", "top_betti", "betti_gf2", "top_cycle_basis", "build_h_matching"])
+def test_every_build_refuses_k9_before_building(build, monkeypatch):
+    # K9's 986,409 elements are over the building default; the count refuses
+    # them before any ideal is enumerated or any word is extended
+    calls = []
+
+    def counting(word, x, graph):
+        calls.append(word)
+        return append_letter(word, x, graph)
+
+    monkeypatch.setattr(ideal_mod, "append_letter", counting)
+    misses = ideal_mod._enumerate.cache_info().misses
+    with pytest.raises(BudgetError, match=r"budget \(200000\)"):
+        build(complete_graph(9))
+    assert ideal_mod._enumerate.cache_info().misses == misses
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +368,7 @@ def test_enumeration_appends_each_free_letter_once(monkeypatch):
     monkeypatch.setattr(ideal_mod, "append_letter", counted)
     for g in [*iso_classes(4), *_relabelled_seven_vertex_graphs(67, 2)]:
         calls.clear()
-        ideal = ideal_mod._enumerate.__wrapped__(g, ideal_mod.DEFAULT_BUDGET)
+        ideal = ideal_mod._enumerate.__wrapped__(g)
         below_top = [w for words in ideal.ranks[:-1] for w in words]
         assert len(calls) == sum(len(g) - len(w) for w in below_top)
 

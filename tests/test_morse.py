@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from booleancomplex import (
+    BudgetError,
     Graph,
     GraphError,
     Matching,
@@ -16,6 +17,8 @@ from booleancomplex import (
     beta_recursive,
     build_h_matching,
     complete_graph,
+    cycle_count,
+    cycle_graph,
     edgeless_graph,
     enumerate_ideal,
     path_graph,
@@ -27,6 +30,7 @@ from booleancomplex import (
     verify_h_properties,
     word_faces,
 )
+from booleancomplex import ideal as ideal_mod
 from helpers import commutation_class, iso_classes, random_graph
 
 A2 = Graph(edges=[(1, 2)])
@@ -35,6 +39,17 @@ A3 = Graph(edges=[(1, 2), (2, 3)])
 
 # ----------------------------------------------------------------------
 # construction on the base cases
+
+def test_raised_budget_reaches_every_sub_ideal(monkeypatch):
+    # with a building default of 10, C5's ideal (120 elements) and most of
+    # its sub-ideals are over it; the root's raised budget binds them all
+    monkeypatch.setattr(ideal_mod, "BUILD_BUDGET", 10)
+    m = build_h_matching(cycle_graph(5), 0, budget=1000)
+    assert len(m.unmatched_maximal) == cycle_count(4) == 9
+    assert skeleton_sphere_counts(cycle_graph(5), m).unmatched[-1] == 9  # counts, builds none
+    with pytest.raises(BudgetError):
+        build_h_matching(cycle_graph(5), 0)
+
 
 def test_edgeless_matching_pairs_through_the_pivot():
     d2 = Graph(vertices=[1, 2])
