@@ -142,9 +142,9 @@ def top_cycle_basis(graph, budget=None):
     ]
 
 
-def verify_cycle(graph, chain):
+def verify_cycle(graph, chain, budget=None):
     """True iff the chain's mod-2 boundary vanishes (reduced at rank 0)."""
-    ideal = enumerate_ideal(graph)
+    ideal = enumerate_ideal(graph, budget)
     k = chain.dimension
     if not 0 <= k <= ideal.top_rank:
         raise GraphError(f"chain dimension {k} out of range 0..{ideal.top_rank}")

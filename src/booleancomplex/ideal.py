@@ -21,8 +21,8 @@ An enumerated ideal numbers its elements rank by rank (flat ids) and keeps
 the successor relation its enumeration computes: one ``array('i')`` column
 per vertex x, holding the id of each element with x appended (-1 when x is
 in it).  Faces, covers and the images of words in related ideals are then
-id lookups; ``normalize`` and ``word_faces`` remain the reference
-definitions the tests compare against.
+id lookups; ``normalize``, ``word_faces`` and ``admits_adjacent_pair``
+remain the reference definitions the tests compare against.
 
 >>> from booleancomplex.graph import path_graph
 >>> a3 = path_graph(3)                 # vertices 0-1-2, edges {0,1} and {1,2}
@@ -176,8 +176,8 @@ def admits_adjacent_pair(word, edge, graph):
     """Can the class be written with s immediately to the left of t?
 
     For an edge {s, t} this holds iff both letters occur, s precedes t in the
-    dependence order, and no letter sits strictly between them.  Splits the
-    ideal into the two blocks the matching construction glues together.
+    dependence order, and no letter sits strictly between them.  The
+    reference definition of the edge block of the matching construction.
     """
     s, t = edge
     if not graph.adjacent(s, t):

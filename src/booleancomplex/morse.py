@@ -22,9 +22,11 @@ The construction recurses along an edge e = {s, t}: the ideal splits into the
 block of elements writable as alpha-s-t-gamma and its complement; the
 complement pulls back the matching of G - e through the coarsening projection,
 the block pulls back the matching of the contraction G/e through the
-substitution alpha-x-gamma -> alpha-s-t-gamma.  An isolated anchor instead
-doubles the matching of G minus s.  The base cases are a single vertex (left
-unmatched) and edgeless graphs (pair sigma with pivot*sigma).
+substitution alpha-x-gamma -> alpha-s-t-gamma.  The block is computed once per
+step as that substitution's image over the elements of B(G/e) containing x
+(``admits_adjacent_pair`` is its reference definition).  An isolated anchor
+instead doubles the matching of G minus s.  The base cases are a single
+vertex (left unmatched) and edgeless graphs (pair sigma with pivot*sigma).
 
 Each step works on the flat element ids of its graph's ideal, and words are
 built once, for the ``Matching`` returned.  The budget binds the root ideal
@@ -45,7 +47,6 @@ from functools import cached_property
 from . import beta as beta_mod
 from .graph import Graph, GraphError, UnknownVertexError
 from .ideal import (
-    admits_adjacent_pair,
     append_letter,
     enumerate_ideal,
     format_word,
@@ -163,9 +164,21 @@ def _build_along_edge(g, v, build):
     t = min(g.neighbors(v))
     edge = (v, t)
     x = min(v, t)  # contraction names the merged vertex by the smaller label
-
     ideal = enumerate_ideal(g, math.inf)
-    in_block = bytes(admits_adjacent_pair(w, edge, g) for w in ideal.words)
+
+    f = g.contract_edge(edge)
+    f_lower, f_upper = build(f, x)[:2]
+    f_ideal = enumerate_ideal(f, math.inf)
+    has_x = f_ideal.succ[x]  # -1 exactly at the elements containing x
+    in_block = bytearray(ideal.element_count())
+    substituted = array("i", [-1]) * f_ideal.element_count()
+    for j, w in enumerate(f_ideal.words):
+        if has_x[j] < 0:
+            i = w.index(x)
+            image = ideal.class_id(w[:i] + edge + w[i + 1:])
+            assert not in_block[image], "substitution must be injective"
+            in_block[image] = 1
+            substituted[j] = image
 
     h = g.delete_edge(edge)
     h_lower, h_upper = build(h, v)[:2]
@@ -178,8 +191,7 @@ def _build_along_edge(g, v, build):
             image = h_ideal.class_id(w)
             assert section[image] < 0, "projection must be injective off the block"
             section[image] = i
-    block_size = sum(in_block)
-    assert len(ideal.words) - block_size == len(section)
+    assert in_block.count(0) == len(section)
 
     lower, upper = array("i"), array("i")
     for lo, up in zip(h_lower, h_upper):
@@ -189,21 +201,9 @@ def _build_along_edge(g, v, build):
         lower.append(glo)
         upper.append(gup)
 
-    f = g.contract_edge(edge)
-    f_lower, f_upper = build(f, x)[:2]
-    f_ideal = enumerate_ideal(f, math.inf)
-
-    def substitute(word):
-        i = word.index(x)
-        return ideal.class_id(word[:i] + (v, t) + word[i + 1:])
-
-    has_x = f_ideal.succ[x]  # -1 exactly at the elements containing x
-    assert block_size == has_x.count(-1), "substitution must be a bijection onto the block"
-
-    f_words = f_ideal.words
     for lo, up in zip(f_lower, f_upper):
-        if has_x[lo] < 0 and has_x[up] < 0:
-            glo, gup = substitute(f_words[lo]), substitute(f_words[up])
+        glo, gup = substituted[lo], substituted[up]
+        if glo >= 0 and gup >= 0:
             assert ideal.covers(glo, gup), "substituted pair must be a cover"
             lower.append(glo)
             upper.append(gup)

@@ -24,6 +24,7 @@ from booleancomplex import (
     top_cycle_basis,
     verify_cycle,
 )
+from booleancomplex import ideal as ideal_mod
 from booleancomplex.beta import cycle_count, fibonacci
 from booleancomplex.homology import gf2_kernel, gf2_rank, gf2_rref, load_an_generators
 from helpers import iso_classes, random_graph
@@ -119,12 +120,19 @@ def test_betti_examples():
     assert betti_gf2(Graph(vertices=[3])) == (0,)
 
 
-def test_betti_build_budget():
+def test_betti_build_budget(monkeypatch):
     # K9's 986,409 elements are over the building default
     with pytest.raises(BudgetError):
         betti_gf2(complete_graph(9))
     with pytest.raises(BudgetError):
         top_cycle_basis(complete_graph(9))
+    # a basis built under a raised budget verifies under that budget
+    monkeypatch.setattr(ideal_mod, "BUILD_BUDGET", 10)
+    c5 = cycle_graph(5)
+    basis = top_cycle_basis(c5, budget=1000)
+    assert basis and all(verify_cycle(c5, c, budget=1000) for c in basis)
+    with pytest.raises(BudgetError):
+        verify_cycle(c5, basis[0])
 
 
 def test_betti_past_seven_vertices():

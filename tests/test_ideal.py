@@ -374,13 +374,16 @@ def test_enumeration_appends_each_free_letter_once(monkeypatch):
 
 
 def test_hot_paths_never_normalise(monkeypatch):
-    def refuse(word, graph):
-        raise AssertionError(f"normalize called on {word!r}")
+    # the reference definitions stay off every route: the routes read ids
+    for original in (ideal_mod.normalize, ideal_mod.admits_adjacent_pair):
+        label = original.__name__
 
-    original = ideal_mod.normalize
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "booleancomplex" and vars(module).get("normalize") is original:
-            monkeypatch.setattr(module, "normalize", refuse)
+        def refuse(word, *args, label=label):
+            raise AssertionError(f"{label} called on {word!r}")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "booleancomplex" and vars(module).get(label) is original:
+                monkeypatch.setattr(module, label, refuse)
     ideal_mod._enumerate.cache_clear()
     rng = random.Random(71)
     report = cross_check(random_graph(rng, 6))

@@ -308,6 +308,31 @@ def test_covers_leaving_the_block_delete_an_endpoint():
                         assert deleted in (s, t)
 
 
+def test_block_is_the_substitution_image():
+    # the build reads the block {alpha-s-t-gamma} off the substitution
+    # alpha-x-gamma -> alpha-s-t-gamma; admits_adjacent_pair is the reference
+    oriented = 0
+    for g in iso_classes(6):
+        ideal = enumerate_ideal(g)
+        for s, t in g.edges:
+            f_ideal = enumerate_ideal(g.contract_edge((s, t)))
+            x = min(s, t)
+            with_x = [w for w in f_ideal.elements() if x in w]
+            for edge in ((s, t), (t, s)):
+                image = set()
+                for w in with_x:
+                    i = w.index(x)
+                    image.add(ideal.class_id(w[:i] + edge + w[i + 1:]))
+                assert len(image) == len(with_x), (g, edge)
+                block = {
+                    i for i, w in enumerate(ideal.words)
+                    if admits_adjacent_pair(w, edge, g)
+                }
+                assert image == block, (g, edge)
+                oriented += 1
+    assert oriented == 2760
+
+
 def test_block_substitution_is_an_order_isomorphism():
     # order on the block of G matches the order on the anchor block of G/e
     rng = random.Random(131)
