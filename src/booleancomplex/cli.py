@@ -292,15 +292,9 @@ def _cmd_crosscheck(args):
             raise GraphError("--sweep N checks its own graphs; drop --family / --edges / --file")
         if not 1 <= args.sweep <= 6:
             raise GraphError(f"--sweep N is exhaustive; N must be 1 to 6, got {args.sweep}")
-        graphs = isomorphism_classes(args.sweep)
         memo = {}
-        rows = []
-        try:
-            for g in graphs:
-                rows.append(cross_check(g, memo=memo, budget=args.budget))
-        except CrossCheckError as exc:
-            _emit_mismatch(args, exc)
-            return EXIT_MISMATCH
+        rows = [cross_check(g, memo=memo, budget=args.budget)
+                for g in isomorphism_classes(args.sweep)]
         skipped = [name for name in ROUTES if any(name in r.skipped for r in rows)]
         lines = ["skipped (over budget): " + ", ".join(skipped)] if skipped else []
         lines.append(f"{len(rows)} isomorphism classes checked, all methods agree")
@@ -315,11 +309,7 @@ def _cmd_crosscheck(args):
         return EXIT_OK
 
     graph, mapping = _load_graph(args)
-    try:
-        report = cross_check(graph, budget=args.budget)
-    except CrossCheckError as exc:
-        _emit_mismatch(args, exc)
-        return EXIT_MISMATCH
+    report = cross_check(graph, budget=args.budget)
     lines = _describe_graph(graph, mapping)
     lines += [f"beta[{name}] = {value}" for name, value in report.values.items()]
     if report.skipped:
@@ -367,6 +357,9 @@ def run(argv=None):
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except CrossCheckError as exc:
+        _emit_mismatch(args, exc)
+        return EXIT_MISMATCH
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

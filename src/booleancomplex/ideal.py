@@ -34,7 +34,6 @@ remain the reference definitions the tests compare against.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from array import array
@@ -207,16 +206,18 @@ def format_word(word):
 class BooleanIdeal:
     """All commutation classes of a graph, grouped by rank, with face data.
 
-    ranks[r] lists the rank-r normal forms sorted lexicographically; an
-    element's flat id is its position in ``words``, the ranks laid end to
-    end.  ``succ[x][i]`` is the flat id of element i with x appended, or -1
-    when x is already in its word.  Face tables are built lazily per rank
-    since several consumers only need the top one.  With ``is_cover`` they
-    are the one face relation others read; both find a face by id lookups
-    through ``succ``, never by normalising a word.
+    ranks[r] lists the rank-r normal forms sorted lexicographically; a word's
+    rank is its length - 1.  An element's flat id is its position in
+    ``words``, the ranks laid end to end: ``offsets[r]`` is the flat id of
+    ranks[r][0], so position j in rank r is flat id ``offsets[r] + j``.
+    ``succ[x][i]`` is the flat id of element i with x appended, or -1 when x
+    is already in its word.  Face tables are built lazily per rank since
+    several consumers only need the top one.  With ``is_cover`` they are the
+    one face relation others read; both find a face by id lookups through
+    ``succ``, never by normalising a word.
     """
 
-    __slots__ = ("graph", "ranks", "words", "succ", "_index", "_offsets", "_faces")
+    __slots__ = ("graph", "ranks", "words", "succ", "offsets", "_index", "_faces")
 
     def __init__(self, graph, ranks, index, succ):
         self.graph = graph
@@ -224,7 +225,7 @@ class BooleanIdeal:
         self.words = tuple(w for words in ranks for w in words)
         self.succ = succ
         self._index = index
-        self._offsets = tuple(itertools.accumulate((len(words) for words in ranks), initial=0))
+        self.offsets = tuple(itertools.accumulate((len(words) for words in ranks), initial=0))
         self._faces = [None] * len(ranks)
 
     def __contains__(self, word):
@@ -239,11 +240,8 @@ class BooleanIdeal:
     def index_of(self, word):
         """(rank, position within the rank) of an element."""
         i = self.flat_id(word)
-        r = bisect.bisect_right(self._offsets, i) - 1
-        return r, i - self._offsets[r]
-
-    def rank_of(self, word):
-        return self.index_of(word)[0]
+        r = len(word) - 1
+        return r, i - self.offsets[r]
 
     @property
     def top_rank(self):
@@ -257,9 +255,6 @@ class BooleanIdeal:
 
     def elements(self):
         return iter(self.words)
-
-    def maximal_elements(self):
-        return self.ranks[-1]
 
     def class_id(self, word):
         """Flat id of the class of any repetition-free word on the vertices,
@@ -288,7 +283,7 @@ class BooleanIdeal:
         if not 1 <= r <= self.top_rank:
             raise GraphError(f"rank {r} out of range 1..{self.top_rank}")
         if self._faces[r] is None:
-            succ, index, base = self.succ, self._index, self._offsets[r - 1]
+            succ, index, base = self.succ, self._index, self.offsets[r - 1]
             # one int object per face position, shared by every tuple
             position = list(range(len(self.ranks[r - 1])))
             table = []

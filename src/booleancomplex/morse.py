@@ -35,10 +35,13 @@ another ideal by appending its letters through that ideal's successor table
 (``BooleanIdeal.class_id``), never by normalising it.  Every cover check,
 during the construction and in ``verify_acyclic``, reads the ideal's one
 face relation: ``BooleanIdeal.covers``, ``is_cover`` or ``face_table``.
+``verify_acyclic`` certifies a matching by topologically sorting its whole
+reversed Hasse diagram, on flat ids, with the standard library's ``graphlib``.
 """
 
 from __future__ import annotations
 
+import graphlib
 import math
 from array import array
 from dataclasses import dataclass
@@ -232,50 +235,35 @@ def _assemble(ideal, lower, upper):
 
 def verify_acyclic(matching, ideal):
     """True iff reversing the matched covers leaves the Hasse diagram free of
-    directed cycles.  Any cycle lives in two adjacent ranks, so the check
-    runs one rank pair at a time (up along matched covers, down otherwise)
-    on (rank, index) cell ids read from the face tables.
+    directed cycles.  The whole reversed diagram is handed to ``graphlib`` on
+    flat ids, an edge up along each matched cover and down along every other
+    face: a cell matched twice can close a cycle through three ranks.
     """
-    pair_set = set()
+    matched = set()
     for lo, up in matching.pairs:
         if not ideal.is_cover(lo, up):
             raise GraphError(f"pair ({format_word(lo)}, {format_word(up)}) is not a cover")
-        pair_set.add((ideal.index_of(lo), ideal.index_of(up)))
+        matched.add((ideal.flat_id(lo), ideal.flat_id(up)))
 
+    # add(b, *a) puts each a before b: every edge goes in turned round, which
+    # keeps each cycle and takes a cell's unmatched faces in one call
+    sorter = graphlib.TopologicalSorter()
+    node = list(range(ideal.element_count()))  # one int object per id, shared by every edge
     for r in range(1, ideal.top_rank + 1):
-        # successors: lower -> matched upper, upper -> its unmatched faces
-        succ = {}
-        for i, faces in enumerate(ideal.face_table(r)):
-            up = (r, i)
-            down = []
+        below = ideal.offsets[r - 1]
+        for up, faces in enumerate(ideal.face_table(r), ideal.offsets[r]):
+            unmatched = []
             for j in faces:
-                lo = (r - 1, j)
-                if (lo, up) in pair_set:
-                    succ.setdefault(lo, []).append(up)
+                lo = node[below + j]
+                if (lo, up) in matched:
+                    sorter.add(lo, up)
                 else:
-                    down.append(lo)
-            succ[up] = down
-        state = {}
-        for start in succ:
-            if state.get(start):
-                continue
-            stack = [(start, iter(succ.get(start, ())))]
-            state[start] = 1  # on stack
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    mark = state.get(nxt)
-                    if mark == 1:
-                        return False
-                    if mark is None:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(succ.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2  # done
-                    stack.pop()
+                    unmatched.append(lo)
+            sorter.add(up, *unmatched)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
+        return False
     return True
 
 
@@ -302,8 +290,8 @@ def verify_h_properties(matching, ideal):
 
     unmatched = [w for w in ideal.elements() if not matching.is_matched(w)]
     top = ideal.top_rank
-    bad = [w for w in unmatched if 0 < ideal.rank_of(w) < top]
-    rank0 = [w for w in unmatched if ideal.rank_of(w) == 0]
+    bad = [w for w in unmatched if 0 < len(w) - 1 < top]
+    rank0 = [w for w in unmatched if len(w) == 1]
     h1 = not bad and len(rank0) == 1
     if len(g) == 1:
         h1 = unmatched == [(s,)]
@@ -327,7 +315,7 @@ def verify_h_properties(matching, ideal):
             mate = matching.partner.get(w)
             if mate is None or s not in mate:
                 loose.append(w)
-        h2 = len(loose) == expected and all(ideal.rank_of(w) == top for w in loose)
+        h2 = len(loose) == expected and all(len(w) - 1 == top for w in loose)
         if not h2:
             failures.append(
                 f"h2: expected {expected} maximal unmatched in the s-block, "
@@ -393,7 +381,7 @@ def skeleton_restriction_counts(matching, ideal):
     top = ideal.top_rank
     matched_below = [0] * (top + 1)  # per rank: elements matched downward
     for lo, up in matching.pairs:
-        matched_below[ideal.rank_of(up)] += 1
+        matched_below[len(up) - 1] += 1
     return tuple(
         len(ideal.ranks[r]) - matched_below[r] for r in range(top + 1)
     )

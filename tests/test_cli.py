@@ -251,6 +251,12 @@ def test_crosscheck_mismatch_exit(capsys, monkeypatch):
     code = run(["crosscheck", "--edges", K3_EDGES])
     assert code == EXIT_MISMATCH
     assert "MISMATCH" in capsys.readouterr().out
+    code = run(["crosscheck", "--sweep", "3"])
+    assert code == EXIT_MISMATCH
+    assert "MISMATCH" in capsys.readouterr().out
+    code, data = run_json(capsys, ["crosscheck", "--sweep", "3"])
+    assert code == EXIT_MISMATCH
+    assert data["agree"] is False and data["values"]["euler"] == 99
 
 
 # ----------------------------------------------------------------------

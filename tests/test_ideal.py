@@ -138,10 +138,10 @@ def test_rank_sizes_examples():
 def test_maximal_element_counts():
     # no commutations: injective words; full commutation: a single class
     for n in range(1, 6):
-        assert len(enumerate_ideal(complete_graph(n)).maximal_elements()) == (
+        assert len(enumerate_ideal(complete_graph(n)).ranks[-1]) == (
             __import__("math").factorial(n)
         )
-        assert len(enumerate_ideal(edgeless_graph(n)).maximal_elements()) == 1
+        assert len(enumerate_ideal(edgeless_graph(n)).ranks[-1]) == 1
 
 
 def test_enumerate_rejects_empty_and_budget():
@@ -290,12 +290,16 @@ def test_covers_and_membership():
     assert ideal.is_cover((1, 2), (1, 3, 2))  # delete 3 from representative 312
     with pytest.raises(UnknownElementError):
         ideal.index_of((3, 1))  # not a normal form
+    # no rank to read off: the empty word, and a word longer than the top rank
+    for word in [(), (1, 2, 3, 4)]:
+        with pytest.raises(UnknownElementError):
+            ideal.index_of(word)
 
 
 def _is_cover_by_every_face(ideal, lower, upper):
     """The reference definition: normalise every face of ``upper``."""
     return (
-        ideal.rank_of(upper) == ideal.rank_of(lower) + 1
+        len(upper) == len(lower) + 1
         and lower in word_faces(upper, ideal.graph)
     )
 

@@ -117,7 +117,6 @@ def test_synthetic_cyclic_matching_detected():
     # 12 -> 123 -> 13 -> 132 -> 12
     k3 = complete_graph(3)
     k3 = k3.relabel({0: 1, 1: 2, 2: 3})
-    ideal = enumerate_ideal(k3)
     bad = Matching(
         graph=k3,
         at_vertex=1,
@@ -125,10 +124,21 @@ def test_synthetic_cyclic_matching_detected():
         unmatched_rank0=(1,),
         unmatched_maximal=(),
     )
-    assert verify_acyclic(bad, ideal) is False
-    # independent detector: networkx must find a directed cycle too
-    cycle = nx.find_cycle(_reversal_digraph(bad, ideal))
-    assert cycle
+    # 12 matched twice on the path 1-2-3: a cycle through three ranks,
+    # 1 -> 12 -> 123 -> 13 -> 1, no rank pair holds on its own
+    doubly = Matching(
+        graph=A3,
+        at_vertex=1,
+        pairs=(((1,), (1, 2)), ((1, 2), (1, 2, 3))),
+        unmatched_rank0=(2,),
+        unmatched_maximal=(),
+    )
+    for matching in (bad, doubly):
+        ideal = enumerate_ideal(matching.graph)
+        assert verify_acyclic(matching, ideal) is False
+        # independent detector: networkx must find a directed cycle too
+        cycle = nx.find_cycle(_reversal_digraph(matching, ideal))
+        assert cycle
 
 
 def test_reversal_digraph_agrees_with_verifier():
