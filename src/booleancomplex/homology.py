@@ -39,9 +39,6 @@ class Gf2Chain:
     dimension: int
     support: frozenset
 
-    def __len__(self):
-        return len(self.support)
-
     def words(self):
         return sorted(self.support)
 
@@ -151,10 +148,10 @@ def verify_cycle(graph, chain, budget=None):
     cols = boundary_columns(ideal, k)
     boundary = 0
     for w in chain.support:
-        r, i = ideal.index_of(w)
+        i, r = ideal.flat_id(w), len(w) - 1
         if r != k:
             raise GraphError(f"cell {format_word(w)} has rank {r}, chain says {k}")
-        boundary ^= cols[i]
+        boundary ^= cols[i - ideal.offsets[k]]
     return boundary == 0
 
 
@@ -229,7 +226,7 @@ def an_fixture_suite():
         for chain in generators:
             mask = 0
             for w in chain.support:
-                mask |= 1 << ideal.index_of(w)[1]
+                mask |= 1 << (ideal.flat_id(w) - ideal.offsets[len(w) - 1])
             masks.append(mask)
             covered |= mask
         all_cycles = all(verify_cycle(graph, c) for c in generators)

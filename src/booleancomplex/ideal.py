@@ -228,20 +228,11 @@ class BooleanIdeal:
         self.offsets = tuple(itertools.accumulate((len(words) for words in ranks), initial=0))
         self._faces = [None] * len(ranks)
 
-    def __contains__(self, word):
-        return word in self._index
-
     def flat_id(self, word):
         try:
             return self._index[word]
         except KeyError:
             raise UnknownElementError(f"{format_word(word)} is not an element") from None
-
-    def index_of(self, word):
-        """(rank, position within the rank) of an element."""
-        i = self.flat_id(word)
-        r = len(word) - 1
-        return r, i - self.offsets[r]
 
     @property
     def top_rank(self):

@@ -32,11 +32,13 @@ Each step works on the flat element ids of its graph's ideal, and words are
 built once, for the ``Matching`` returned.  The budget binds the root ideal
 alone; every ideal a step recurses into is no larger.  A word is carried to
 another ideal by appending its letters through that ideal's successor table
-(``BooleanIdeal.class_id``), never by normalising it.  Every cover check,
-during the construction and in ``verify_acyclic``, reads the ideal's one
-face relation: ``BooleanIdeal.covers``, ``is_cover`` or ``face_table``.
-``verify_acyclic`` certifies a matching by topologically sorting its whole
-reversed Hasse diagram, on flat ids, with the standard library's ``graphlib``.
+(``BooleanIdeal.class_id``), never by normalising it.  Every cover check
+reads the ideal's one face relation, ``BooleanIdeal.covers`` or its
+``face_table``.  Both checkers take flat ids from one pass over a matching's
+pairs that refuses a non-cover: ``verify_acyclic`` topologically sorts the
+whole reversed Hasse diagram with ``graphlib``, and ``verify_h_properties``
+reads one partner array and the successor table, so a cell matched twice
+fails H1.
 """
 
 from __future__ import annotations
@@ -49,13 +51,7 @@ from functools import cached_property
 
 from . import beta as beta_mod
 from .graph import Graph, GraphError, UnknownVertexError
-from .ideal import (
-    append_letter,
-    enumerate_ideal,
-    format_word,
-    rank_sizes,
-    trace_order,
-)
+from .ideal import enumerate_ideal, format_word, rank_sizes, trace_order
 
 
 @dataclass(frozen=True)
@@ -74,17 +70,12 @@ class Matching:
     unmatched_maximal: tuple[tuple, ...]
 
     @cached_property
-    def partner(self):
-        """word -> matched partner word, both directions."""
-        out = {}
-        for lo, up in self.pairs:
-            assert lo not in out and up not in out, "element matched twice"
-            out[lo] = up
-            out[up] = lo
-        return out
+    def matched(self):
+        """Every word that sits in some pair."""
+        return frozenset(w for pair in self.pairs for w in pair)
 
     def is_matched(self, word):
-        return word in self.partner
+        return word in self.matched
 
 
 # ----------------------------------------------------------------------
@@ -233,17 +224,25 @@ def _assemble(ideal, lower, upper):
 # ----------------------------------------------------------------------
 # verification
 
+def _pair_ids(matching, ideal):
+    """The matching's pairs as (lower, upper) flat ids of ``ideal``, each word
+    looked up once; a pair that is not a cover raises ``GraphError``."""
+    pairs = []
+    for lo, up in matching.pairs:
+        i, j = ideal.flat_id(lo), ideal.flat_id(up)
+        if not ideal.covers(i, j):
+            raise GraphError(f"pair ({format_word(lo)}, {format_word(up)}) is not a cover")
+        pairs.append((i, j))
+    return pairs
+
+
 def verify_acyclic(matching, ideal):
     """True iff reversing the matched covers leaves the Hasse diagram free of
     directed cycles.  The whole reversed diagram is handed to ``graphlib`` on
     flat ids, an edge up along each matched cover and down along every other
     face: a cell matched twice can close a cycle through three ranks.
     """
-    matched = set()
-    for lo, up in matching.pairs:
-        if not ideal.is_cover(lo, up):
-            raise GraphError(f"pair ({format_word(lo)}, {format_word(up)}) is not a cover")
-        matched.add((ideal.flat_id(lo), ideal.flat_id(up)))
+    matched = set(_pair_ids(matching, ideal))
 
     # add(b, *a) puts each a before b: every edge goes in turned round, which
     # keeps each cycle and takes a cell's unmatched faces in one call
@@ -283,58 +282,65 @@ class HReport:
 
 
 def verify_h_properties(matching, ideal):
-    """Check H1-H3 for a matching anchored at ``matching.at_vertex``."""
+    """Check H1-H3 for a matching anchored at ``matching.at_vertex``, on flat
+    ids: s is in element i iff ``succ[s][i]`` is -1, and tau = sigma * s iff
+    ``succ[s][sigma] == tau``.  A cell in two pairs fails H1; a pair that is
+    not a cover raises ``GraphError``."""
     g = ideal.graph
     s = matching.at_vertex
+    rest = g.delete_vertex(s)  # refuses an anchor outside the graph
+    words = ideal.words
+    times_s = ideal.succ[s]  # -1 exactly at the elements containing s
     failures = []
 
-    unmatched = [w for w in ideal.elements() if not matching.is_matched(w)]
-    top = ideal.top_rank
-    bad = [w for w in unmatched if 0 < len(w) - 1 < top]
-    rank0 = [w for w in unmatched if len(w) == 1]
-    h1 = not bad and len(rank0) == 1
-    if len(g) == 1:
-        h1 = unmatched == [(s,)]
+    def names(ids):
+        return [format_word(words[i]) for i in ids]
+
+    pairs = _pair_ids(matching, ideal)
+    partner = array("i", [-1]) * ideal.element_count()
+    twice = set()
+    for lo, up in pairs:
+        twice.update(i for i in (lo, up) if partner[i] >= 0)
+        partner[lo], partner[up] = up, lo
+
+    # flat ids run rank by rank: rank 0 lies below offsets[1], the top rank from ``top``
+    rank1, top = ideal.offsets[1], ideal.offsets[ideal.top_rank]
+    rank0 = [i for i in range(rank1) if partner[i] < 0]
+    bad = [i for i in range(rank1, top) if partner[i] < 0]
+    h1 = not bad and len(rank0) == 1 and not twice
     if not h1:
         failures.append(
-            f"h1: rank-0 unmatched {[format_word(w) for w in rank0]}, "
-            f"middle-rank unmatched {[format_word(w) for w in bad]}"
+            f"h1: rank-0 unmatched {names(rank0)}, "
+            f"middle-rank unmatched {names(bad)}, matched twice {names(sorted(twice))}"
         )
 
-    rest = g.delete_vertex(s)
     if len(rest) == 0:
         h2 = True
     else:
         expected = (
             beta_mod.beta_recursive(g).value + beta_mod.beta_recursive(rest).value
         )
-        loose = []
-        for w in ideal.elements():
-            if s not in w:
-                continue
-            mate = matching.partner.get(w)
-            if mate is None or s not in mate:
-                loose.append(w)
-        h2 = len(loose) == expected and all(len(w) - 1 == top for w in loose)
+        loose = [i for i, mate in enumerate(partner)
+                 if times_s[i] < 0 and (mate < 0 or times_s[mate] >= 0)]
+        h2 = len(loose) == expected and all(i >= top for i in loose)
         if not h2:
             failures.append(
                 f"h2: expected {expected} maximal unmatched in the s-block, "
-                f"got {[format_word(w) for w in loose]}"
+                f"got {names(loose)}"
             )
 
     h3 = True
-    for lo, up in matching.pairs:
-        if s not in up:
-            continue
-        if s not in lo and append_letter(lo, s, g) == up:
-            continue  # tau = sigma * s
-        (deleted,) = set(up) - set(lo)
+    for lo, up in pairs:
+        if times_s[up] >= 0 or times_s[lo] == up:
+            continue  # s not in tau, or tau = sigma * s
+        lower, upper = words[lo], words[up]
+        (deleted,) = set(upper).difference(lower)
         # deleting s itself can only be excused by tau = sigma * s above:
         # no letter sits strictly left of itself
-        if deleted == s or (up.index(s), up.index(deleted)) in trace_order(up, g):
+        if deleted == s or (upper.index(s), upper.index(deleted)) in trace_order(upper, g):
             h3 = False
             failures.append(
-                f"h3: pair ({format_word(lo)}, {format_word(up)}) deletes "
+                f"h3: pair ({format_word(lower)}, {format_word(upper)}) deletes "
                 f"{deleted} but no representative puts it left of {s}"
             )
     return HReport(h1, h2, h3, tuple(failures))

@@ -289,11 +289,11 @@ def test_covers_and_membership():
     assert ideal.is_cover((1, 3), (1, 3, 2))
     assert ideal.is_cover((1, 2), (1, 3, 2))  # delete 3 from representative 312
     with pytest.raises(UnknownElementError):
-        ideal.index_of((3, 1))  # not a normal form
+        ideal.flat_id((3, 1))  # not a normal form
     # no rank to read off: the empty word, and a word longer than the top rank
     for word in [(), (1, 2, 3, 4)]:
         with pytest.raises(UnknownElementError):
-            ideal.index_of(word)
+            ideal.flat_id(word)
 
 
 def _is_cover_by_every_face(ideal, lower, upper):
@@ -338,7 +338,7 @@ def test_successor_table_is_append_letter():
         ideal = enumerate_ideal(g)
         for r, words in enumerate(ideal.ranks):
             for i, w in enumerate(words):
-                assert ideal.index_of(w) == (r, i)
+                assert ideal.flat_id(w) - ideal.offsets[r] == i
                 flat = ideal.flat_id(w)
                 assert ideal.words[flat] == w
                 for x in g.vertices:

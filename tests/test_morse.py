@@ -2,7 +2,11 @@
 block structure of the edge split, and skeleton counts."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -139,6 +143,30 @@ def test_synthetic_cyclic_matching_detected():
         # independent detector: networkx must find a directed cycle too
         cycle = nx.find_cycle(_reversal_digraph(matching, ideal))
         assert cycle
+    report = verify_h_properties(doubly, enumerate_ideal(A3))
+    assert report.h1 is False
+    assert any(f.startswith("h1") and "matched twice ['12']" in f for f in report.failures)
+
+
+def test_double_match_fails_h1_under_python_O():
+    # no assert carries a checker's result: -O prints the same report
+    script = (
+        "from booleancomplex import Graph, Matching, enumerate_ideal, verify_h_properties\n"
+        "a3 = Graph(edges=[(1, 2), (2, 3)])\n"
+        "doubly = Matching(a3, 1, (((1,), (1, 2)), ((1, 2), (1, 2, 3))), (2,), ())\n"
+        "report = verify_h_properties(doubly, enumerate_ideal(a3))\n"
+        "print(report.h1, *report.failures, sep='\\n')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    doubly = Matching(A3, 1, (((1,), (1, 2)), ((1, 2), (1, 2, 3))), (2,), ())
+    report = verify_h_properties(doubly, enumerate_ideal(A3))
+    assert done.stdout.splitlines() == [str(report.h1), *report.failures]
+    assert "matched twice ['12']" in done.stdout
 
 
 def test_reversal_digraph_agrees_with_verifier():
@@ -163,10 +191,14 @@ def test_verify_acyclic_rejects_non_covers():
     junk = Matching(A3, 1, (((1,), (1, 3, 2)),), (2,), ())
     with pytest.raises(GraphError):
         verify_acyclic(junk, ideal)
+    with pytest.raises(GraphError):
+        verify_h_properties(junk, ideal)
     # adjacent ranks, but 21 is not a face of 132 (its faces are 32, 12, 13)
     junk = Matching(A3, 1, (((2, 1), (1, 3, 2)),), (3,), ())
     with pytest.raises(GraphError):
         verify_acyclic(junk, ideal)
+    with pytest.raises(GraphError):
+        verify_h_properties(junk, ideal)
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +226,9 @@ def test_h1_fails_with_two_unmatched_rank0():
     report = verify_h_properties(nothing, enumerate_ideal(d2))
     assert report.h1 is False
     assert any("h1" in f for f in report.failures)
+    # H2 expects no loose cell, but 2 and 12 contain s and are unmatched
+    assert report.h2 is False
+    assert any("h2" in f for f in report.failures)
 
 
 def test_h3_fails_when_deletion_sits_right_of_anchor():
