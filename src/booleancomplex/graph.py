@@ -10,8 +10,9 @@ machinery downstream relies on.
 The module also has the plain constructors behind the named families (paths,
 forked paths, double forks, T-shapes, cycles, complete graphs, stars,
 edgeless graphs; the family table itself is in ``beta``), exact canonical
-keys for isomorphism-keyed memoisation, one representative per isomorphism
-class for exhaustive sweeps, and a plain text edge-list parser.
+keys for isomorphism-keyed memoisation (paths and cycles keyed by walking
+them, every other graph by a refinement search), one representative per
+isomorphism class for exhaustive sweeps, and a plain text edge-list parser.
 """
 
 from __future__ import annotations
@@ -241,13 +242,16 @@ class Graph:
     def canonical_key(self):
         """Byte string equal for two graphs iff they are isomorphic.
 
-        The key packs the lexicographically least adjacency bit string the
-        search visits: orderings are restricted to those compatible with
-        iterated neighbourhood refinement (seeded by degrees), extended by
-        individualisation inside the first non-singleton cell, with twin
-        vertices pruned.  The restriction is isomorphism-invariant and the
-        bit string determines the adjacency matrix, so equality of keys is
-        exactly isomorphism.
+        The key is the vertex count and an adjacency bit string under some
+        ordering.  A connected graph of maximum degree at most 2 (a path or a
+        cycle) is ordered by walking it, from an end if it has one; every
+        such walk gives the same string.  Every other graph takes the
+        lexicographically least string the search visits: orderings are
+        restricted to those compatible with iterated neighbourhood refinement
+        (seeded by degrees), extended by individualisation inside the first
+        non-singleton cell, with twin vertices pruned.  Both orderings are
+        isomorphism-invariant choices and the bit string determines the
+        adjacency matrix, so equality of keys is exactly isomorphism.
         """
         n = len(self)
         if n == 0:
@@ -281,6 +285,20 @@ class Graph:
                     bits = (bits << 1) | ((row >> perm[b]) & 1)
             return bits
 
+        nbytes = (n * (n - 1) // 2 + 7) // 8
+        if max(map(len, nbrs)) <= 2:
+            # a path (walked from an end) or a cycle: every walk along it
+            # gives the same bit string; a walk that stops short of n
+            # vertices means the graph is disconnected, so it takes the search
+            ends = [i for i in range(n) if len(nbrs[i]) < 2]
+            walk = [ends[0] if ends else 0]
+            seen = 1 << walk[0]
+            while step := adjbit[walk[-1]] & ~seen:
+                walk.append((step & -step).bit_length() - 1)
+                seen |= step & -step
+            if len(walk) == n:
+                return bytes([n]) + leaf_key(walk).to_bytes(nbytes, "big")
+
         best = None
 
         def search(colors):
@@ -311,7 +329,6 @@ class Graph:
                 search(refine(split))
 
         search(refine([len(nbrs[i]) for i in range(n)]))
-        nbytes = (n * (n - 1) // 2 + 7) // 8
         return bytes([n]) + best.to_bytes(nbytes, "big")
 
 

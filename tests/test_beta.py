@@ -66,6 +66,12 @@ def test_recursion_memoises_above_ten_vertices():
     assert r.calls < 200
 
 
+def test_recursion_reaches_64_vertex_paths_and_cycles():
+    # paths and cycles are keyed by walking them, so this takes milliseconds
+    assert beta_recursive(cycle_graph(64)).value == beta_family("cycle:64")
+    assert beta_recursive(path_graph(64)).value == beta_family("A:64")
+
+
 @st.composite
 def mid_size_graphs(draw):
     n = draw(st.integers(11, 14))

@@ -1,5 +1,6 @@
 """Graph surgery, families, canonical keys, and the edge-list format."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -219,6 +220,49 @@ def test_canonical_key_past_ten_vertices():
     two_hexagons = Graph(edges=[(i, (i + 1) % 6) for i in range(6)]
                          + [(6 + i, 6 + (i + 1) % 6) for i in range(6)])
     assert cycle_graph(12).canonical_key() != two_hexagons.canonical_key()
+
+
+def test_canonical_key_walks_paths_and_cycles_up_to_64_vertices():
+    # keyed by walking them, so 64 vertices cost no individualisation search
+    rng = random.Random(41)
+    shapes = [path_graph(n) for n in range(1, 65)] + [cycle_graph(n) for n in range(3, 65)]
+    for g in shapes:
+        key = g.canonical_key()
+        assert random_permutation_relabel(rng, g).canonical_key() == key
+        assert random_permutation_relabel(rng, g).canonical_key() == key
+    for n in range(3, 65):
+        assert path_graph(n).canonical_key() != cycle_graph(n).canonical_key()
+    assert cycle_graph(3).canonical_key() == complete_graph(3).canonical_key()
+
+
+def test_canonical_key_separates_disconnected_paths_and_cycles():
+    # max degree 2 but disconnected: the walk stops short, the search decides
+    def union(*parts):
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(u + offset, v + offset) for u, v in part.edges]
+            offset += len(part)
+        return Graph(edges=edges, vertices=range(offset))
+
+    for split, whole in [
+        (union(cycle_graph(3), cycle_graph(3)), cycle_graph(6)),
+        (union(path_graph(3), path_graph(2)), path_graph(5)),
+        (union(path_graph(4), path_graph(1)), path_graph(5)),
+    ]:
+        assert len(split) == len(whole)
+        assert split.canonical_key() != whole.canonical_key()
+        assert split.canonical_key() == random_permutation_relabel(
+            random.Random(43), split).canonical_key()
+
+
+def test_sweep_representatives_are_pinned_up_to_six_vertices():
+    # SHA-256 of every representative's edge list, in order, taken before
+    # paths and cycles were keyed by walking them: a key change must not move
+    # any sweep's representative or its order
+    classes = iso_classes(6)
+    assert len(classes) == 1 + 2 + 4 + 11 + 34 + 156
+    digest = hashlib.sha256(repr([g.edges for g in classes]).encode()).hexdigest()
+    assert digest == "8e730094b3b6a37f9f5db923b0bdf1c4f98ebf0fb74f06a075ce9db7d5ef6d24"
 
 
 # ----------------------------------------------------------------------
