@@ -1,6 +1,6 @@
 """Finite simple graphs with stable small-integer labels.
 
-Vertex labels are non-negative integers below ``MAX_LABEL``, so vertex sets
+Vertex labels are integers from 0 to ``MAX_LABEL``, so vertex sets
 and neighbourhoods fit in single machine-word bitmasks.  Graphs are immutable
 value objects; every operation returns a new ``Graph`` and never renames the
 surviving vertices.  In particular contracting the edge {s, t} keeps
@@ -436,6 +436,8 @@ def parse_edge_list(text):
         else:
             raise GraphError(f"line {lineno}: expected 1 or 2 labels, got {len(nums)}")
     labels = sorted({x for e in edges for x in e} | set(singles))
+    if len(labels) > MAX_LABEL + 1:
+        raise GraphError(f"at most {MAX_LABEL + 1} vertices are supported, got {len(labels)}")
     dense = {x: i for i, x in enumerate(labels)}
     graph = Graph(
         edges=[(dense[u], dense[v]) for u, v in edges],

@@ -17,12 +17,16 @@ and refuses an ideal over its budget before building any.  Both raise
 reason either refuses a graph.  A budget of None means ``DEFAULT_BUDGET`` to
 count and ``BUILD_BUDGET`` to build; built ideals are cached by graph alone.
 
-An enumerated ideal numbers its elements rank by rank (flat ids) and keeps
-the successor relation its enumeration computes: one ``array('i')`` column
-per vertex x, holding the id of each element with x appended (-1 when x is
-in it).  Faces, covers and the images of words in related ideals are then
-id lookups; ``normalize``, ``word_faces`` and ``admits_adjacent_pair``
-remain the reference definitions the tests compare against.
+A class is a vertex set S plus an acyclic orientation of G[S]
+(Cartier-Foata): a letter points to every later neighbour in any
+representative.  An enumerated ideal numbers its elements rank by rank (flat
+ids) and gives each one int key that holds both.  With the vertices at
+positions p of ``graph.vertices`` (m of them), S is the low m bits and the
+field at shift m * (p + 1) holds p's in-neighbours, its earlier neighbours.
+Appending a letter, deleting one (a face) and testing a cover are mask
+operations on keys; ``normalize``, ``word_faces`` and
+``admits_adjacent_pair`` remain the reference definitions the tests compare
+against.
 
 >>> from booleancomplex.graph import path_graph
 >>> a3 = path_graph(3)                 # vertices 0-1-2, edges {0,1} and {1,2}
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from functools import lru_cache
 
 from .graph import GraphError, UnknownVertexError, _bits
@@ -210,29 +213,43 @@ class BooleanIdeal:
     rank is its length - 1.  An element's flat id is its position in
     ``words``, the ranks laid end to end: ``offsets[r]`` is the flat id of
     ranks[r][0], so position j in rank r is flat id ``offsets[r] + j``.
-    ``succ[x][i]`` is the flat id of element i with x appended, or -1 when x
-    is already in its word.  Face tables are built lazily per rank since
-    several consumers only need the top one.  With ``is_cover`` they are the
-    one face relation others read; both find a face by id lookups through
-    ``succ``, never by normalising a word.
+    ``keys[i]`` is element i's key (see the module docstring), and one
+    key-to-id lookup names the class of any word.  The face without a vertex
+    clears its bit, its field and its bit in every field.  Face tables are
+    built lazily per rank since several consumers only need the top one.
+    With ``is_cover`` they are the one face relation others read; both are
+    masks over keys, never a normalised word.
     """
 
-    __slots__ = ("graph", "ranks", "words", "succ", "offsets", "_index", "_faces")
+    __slots__ = ("graph", "ranks", "words", "keys", "offsets", "_ids", "_letters",
+                 "_vertex_bits", "_kill", "_faces")
 
-    def __init__(self, graph, ranks, index, succ):
+    def __init__(self, graph, ranks, keys, letters):
         self.graph = graph
         self.ranks = ranks
         self.words = tuple(w for words in ranks for w in words)
-        self.succ = succ
-        self._index = index
+        self.keys = keys
+        self._ids = dict(zip(keys, range(len(keys))))
+        self._letters = letters
+        m = len(graph)
+        self._vertex_bits = field = (1 << m) - 1
+        column = sum(1 << m * (p + 1) for p in range(m))  # bit 0 of every field
+        # by vertex bit: the mask that deletes the vertex from a key
+        self._kill = {
+            bit: ~(bit | field << shift | column * bit)
+            for bit, _, shift in letters.values()
+        }
         self.offsets = tuple(itertools.accumulate((len(words) for words in ranks), initial=0))
         self._faces = [None] * len(ranks)
 
     def flat_id(self, word):
         try:
-            return self._index[word]
+            i = self.class_id(word)
         except KeyError:
-            raise UnknownElementError(f"{format_word(word)} is not an element") from None
+            i = None
+        if i is None or self.words[i] != word:
+            raise UnknownElementError(f"{format_word(word)} is not an element")
+        return i
 
     @property
     def top_rank(self):
@@ -248,25 +265,13 @@ class BooleanIdeal:
         return iter(self.words)
 
     def class_id(self, word):
-        """Flat id of the class of any repetition-free word on the vertices,
-        its letters appended one at a time through ``succ``."""
-        succ = self.succ
-        i = self._index[word[:1]]
-        for x in word[1:]:
-            i = succ[x][i]
-        return i
-
-    def _face_id(self, word, j):
-        """Flat id of the element ``word`` (a normal form) without its j-th
-        letter: the prefix ``word[:j]`` is a normal form, so it is looked up,
-        and the letters after it are appended."""
-        if j == 0:
-            return self.class_id(word[1:])
-        succ = self.succ
-        i = self._index[word[:j]]
-        for x in word[j + 1:]:
-            i = succ[x][i]
-        return i
+        """Flat id of the class of any repetition-free word on the vertices:
+        its key, grown one appended letter at a time, looked up once."""
+        letters, key = self._letters, 0
+        for x in word:
+            bit, nbr, shift = letters[x]
+            key |= bit | (nbr & key) << shift
+        return self._ids[key]
 
     def face_table(self, r):
         """For each rank-r element, the sorted tuple of its face indices in
@@ -274,27 +279,14 @@ class BooleanIdeal:
         if not 1 <= r <= self.top_rank:
             raise GraphError(f"rank {r} out of range 1..{self.top_rank}")
         if self._faces[r] is None:
-            succ, index, base = self.succ, self._index, self.offsets[r - 1]
+            ids, kill, letters = self._ids, self._kill, self._letters
+            base = self.offsets[r - 1]
             # one int object per face position, shared by every tuple
             position = list(range(len(self.ranks[r - 1])))
             table = []
-            for w in self.ranks[r]:
-                # _face_id inlined: the face without w[j] appends w[j+1:] to
-                # ``head``, the id of the prefix w[:j], grown letter by letter
-                i = index[w[1:2]]
-                for x in w[2:]:
-                    i = succ[x][i]
-                faces = [position[i - base]]
-                head = index[w[:1]]
-                for j in range(1, len(w)):
-                    i = head
-                    for x in w[j + 1:]:
-                        i = succ[x][i]
-                    faces.append(position[i - base])
-                    head = succ[w[j]][head]
-                faces.sort()
-                faces = tuple(faces)
-                assert len(set(faces)) == len(w), "faces of a cell must be distinct"
+            for w, key in zip(self.ranks[r], self.keys[self.offsets[r]:]):
+                faces = tuple(sorted(position[ids[key & kill[letters[x][0]]] - base] for x in w))
+                assert len(set(faces)) == r + 1, "faces of a cell must be distinct"
                 table.append(faces)
             self._faces[r] = tuple(table)
         return self._faces[r]
@@ -304,16 +296,11 @@ class BooleanIdeal:
         return self.covers(self.flat_id(lower), self.flat_id(upper))
 
     def covers(self, lo, up):
-        """``is_cover`` on flat ids.  Only a letter of the upper word missing
-        from the lower one can be the deleted one, so one face is looked up
-        (two missing letters leave it a letter short)."""
-        lower, upper = self.words[lo], self.words[up]
-        if len(upper) != len(lower) + 1:
-            return False
-        missing = set(upper).difference(lower)
-        if len(missing) != 1:
-            return False
-        return self._face_id(upper, upper.index(missing.pop())) == lo
+        """``is_cover`` on flat ids: the keys differ in exactly one vertex
+        bit, and deleting that vertex from the upper key gives the lower."""
+        lower, upper = self.keys[lo], self.keys[up]
+        kill = self._kill.get((lower ^ upper) & self._vertex_bits)
+        return kill is not None and upper & kill == lower
 
 
 def _over_budget(graph, budget):
@@ -337,34 +324,27 @@ def _enumerate(graph):
     if len(graph) == 0:
         raise GraphError("the boolean ideal is defined for nonempty graphs")
     verts = graph.vertices
-    level = tuple((v,) for v in verts)
-    ranks = [level]
-    index = {w: i for i, w in enumerate(level)}
-    succ = {x: array("i") for x in verts}
-    for _ in range(1, len(verts)):
-        # each word of the level with each letter appended, word by word
-        # (None where the letter is in it), kept until the next level is
-        # sorted and given its ids; equal words are stored once
-        grown = []
+    bit_of = {v: 1 << p for p, v in enumerate(verts)}
+    # per letter: its bit, its neighbours' bits and the shift of its field
+    letters = {v: (bit_of[v], sum(bit_of[u] for u in graph.neighbors(v)), len(verts) * (p + 1))
+               for p, v in enumerate(verts)}
+    level = {bit_of[v]: (v,) for v in verts}
+    ranks, keys = [], []
+    while level:
+        order = sorted(level, key=level.__getitem__)  # by normal form
+        ranks.append(tuple(level[key] for key in order))
+        keys.extend(order)
+        # append each free letter to each class; a class reached again is
+        # only keyed, so each normal form is built once
         nxt = {}
-        for w in level:
-            used = 0
-            for x in w:
-                used |= 1 << x
-            for x in verts:
-                if (used >> x) & 1:
-                    grown.append(None)
-                else:
-                    u = append_letter(w, x, graph)
-                    grown.append(nxt.setdefault(u, u))
-        level = tuple(sorted(nxt))
-        ranks.append(level)
-        index.update(zip(level, itertools.count(len(index))))
-        for k, x in enumerate(verts):
-            succ[x].extend([-1 if u is None else index[u] for u in grown[k::len(verts)]])
-    for x in verts:
-        succ[x].extend(array("i", [-1]) * len(level))  # the top rank is full
-    return BooleanIdeal(graph, tuple(ranks), index, succ)
+        for key in order:
+            for x, (bit, nbr, shift) in letters.items():
+                if not key & bit:
+                    grown = key | bit | (nbr & key) << shift
+                    if grown not in nxt:
+                        nxt[grown] = append_letter(level[key], x, graph)
+        level = nxt
+    return BooleanIdeal(graph, tuple(ranks), tuple(keys), letters)
 
 
 def enumerate_ideal(graph, budget=None):

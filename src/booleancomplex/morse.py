@@ -31,14 +31,13 @@ vertex (left unmatched) and edgeless graphs (pair sigma with pivot*sigma).
 Each step works on the flat element ids of its graph's ideal, and words are
 built once, for the ``Matching`` returned.  The budget binds the root ideal
 alone; every ideal a step recurses into is no larger.  A word is carried to
-another ideal by appending its letters through that ideal's successor table
-(``BooleanIdeal.class_id``), never by normalising it.  Every cover check
-reads the ideal's one face relation, ``BooleanIdeal.covers`` or its
-``face_table``.  Both checkers take flat ids from one pass over a matching's
-pairs that refuses a non-cover: ``verify_acyclic`` topologically sorts the
-whole reversed Hasse diagram with ``graphlib``, and ``verify_h_properties``
-reads one partner array and the successor table, so a cell matched twice
-fails H1.
+another ideal by growing that ideal's key for it (``BooleanIdeal.class_id``),
+never by normalising it.  Every cover check reads the ideal's one face
+relation, ``BooleanIdeal.covers`` or its ``face_table``.  Both checkers take
+flat ids from one pass over a matching's pairs that refuses a non-cover:
+``verify_acyclic`` topologically sorts the whole reversed Hasse diagram with
+``graphlib``, and ``verify_h_properties`` reads one partner array, so a cell
+matched twice fails H1.
 """
 
 from __future__ import annotations
@@ -124,9 +123,9 @@ def _build_edgeless(g, v):
     # Pair sigma with pivot + sigma for every sigma avoiding the pivot.
     pivot = min(u for u in g.vertices if u != v)
     ideal = enumerate_ideal(g, math.inf)
-    times_pivot = ideal.succ[pivot]
-    lower = array("i", [i for i, j in enumerate(times_pivot) if j >= 0])
-    upper = array("i", [times_pivot[i] for i in lower])
+    words = ideal.words
+    lower = array("i", [i for i, w in enumerate(words) if pivot not in w])
+    upper = array("i", [ideal.class_id(words[i] + (pivot,)) for i in lower])
     return lower, upper, ideal.flat_id((pivot,)), ()
 
 
@@ -138,19 +137,20 @@ def _build_isolated_anchor(g, v, build):
     anchor = min(u for u in h.vertices if h.degree(u) > 0)
     h_lower, h_upper, h_rank0, h_maximal = build(h, anchor)
     ideal = enumerate_ideal(g, math.inf)
-    times_v = ideal.succ[v]
-    # the words avoiding v are B(H)'s, with the same normal forms and order
-    lift = [i for i, j in enumerate(times_v) if j >= 0]
+    # the words avoiding v are B(H)'s, with the same normal forms and order;
+    # each is used once with v appended
+    lift = [i for i, w in enumerate(ideal.words) if v not in w]
     assert len(lift) == 2 * len(h_lower) + 1 + len(h_maximal), "B(H) sits inside B(G)"
+    times_v = [ideal.class_id(ideal.words[i] + (v,)) for i in lift]
     lower = array("i", [lift[i] for i in h_lower])
     upper = array("i", [lift[i] for i in h_upper])
-    lower.extend([times_v[i] for i in lower])
-    upper.extend([times_v[i] for i in upper])
+    lower.extend([times_v[i] for i in h_lower])
+    upper.extend([times_v[i] for i in h_upper])
     lower.append(ideal.flat_id((v,)))
-    upper.append(times_v[lift[h_rank0]])
+    upper.append(times_v[h_rank0])
     for i in h_maximal:
         lower.append(lift[i])
-        upper.append(times_v[lift[i]])
+        upper.append(times_v[i])
     return _assemble(ideal, lower, upper)
 
 
@@ -163,11 +163,10 @@ def _build_along_edge(g, v, build):
     f = g.contract_edge(edge)
     f_lower, f_upper = build(f, x)[:2]
     f_ideal = enumerate_ideal(f, math.inf)
-    has_x = f_ideal.succ[x]  # -1 exactly at the elements containing x
     in_block = bytearray(ideal.element_count())
     substituted = array("i", [-1]) * f_ideal.element_count()
     for j, w in enumerate(f_ideal.words):
-        if has_x[j] < 0:
+        if x in w:
             i = w.index(x)
             image = ideal.class_id(w[:i] + edge + w[i + 1:])
             assert not in_block[image], "substitution must be injective"
@@ -283,14 +282,14 @@ class HReport:
 
 def verify_h_properties(matching, ideal):
     """Check H1-H3 for a matching anchored at ``matching.at_vertex``, on flat
-    ids: s is in element i iff ``succ[s][i]`` is -1, and tau = sigma * s iff
-    ``succ[s][sigma] == tau``.  A cell in two pairs fails H1; a pair that is
-    not a cover raises ``GraphError``."""
+    ids: tau = sigma * s iff s is not in sigma and ``class_id(sigma + (s,))``
+    is tau.  A cell in two pairs fails H1; a pair that is not a cover raises
+    ``GraphError``."""
     g = ideal.graph
     s = matching.at_vertex
     rest = g.delete_vertex(s)  # refuses an anchor outside the graph
     words = ideal.words
-    times_s = ideal.succ[s]  # -1 exactly at the elements containing s
+    has_s = [s in w for w in words]
     failures = []
 
     def names(ids):
@@ -321,7 +320,7 @@ def verify_h_properties(matching, ideal):
             beta_mod.beta_recursive(g).value + beta_mod.beta_recursive(rest).value
         )
         loose = [i for i, mate in enumerate(partner)
-                 if times_s[i] < 0 and (mate < 0 or times_s[mate] >= 0)]
+                 if has_s[i] and (mate < 0 or not has_s[mate])]
         h2 = len(loose) == expected and all(i >= top for i in loose)
         if not h2:
             failures.append(
@@ -331,9 +330,9 @@ def verify_h_properties(matching, ideal):
 
     h3 = True
     for lo, up in pairs:
-        if times_s[up] >= 0 or times_s[lo] == up:
-            continue  # s not in tau, or tau = sigma * s
         lower, upper = words[lo], words[up]
+        if not has_s[up] or not has_s[lo] and ideal.class_id(lower + (s,)) == up:
+            continue  # s not in tau, or tau = sigma * s
         (deleted,) = set(upper).difference(lower)
         # deleting s itself can only be excused by tau = sigma * s above:
         # no letter sits strictly left of itself

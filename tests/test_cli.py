@@ -26,6 +26,14 @@ def run_json(capsys, argv):
 # ----------------------------------------------------------------------
 # beta
 
+def test_beta_edges_over_the_vertex_cap(capsys):
+    path = "; ".join(f"{u} {u + 1}" for u in range(100, 165))  # 66 vertices
+    assert run(["beta", "--edges", path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: at most 64 vertices are supported, got 66\n"
+
+
 def test_beta_family_two_methods(capsys):
     code, data = run_json(capsys, ["beta", "--family", "A:6", "--method", "recursion,euler"])
     assert code == EXIT_OK

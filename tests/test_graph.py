@@ -328,6 +328,16 @@ def test_parse_edge_list_errors():
         parse_edge_list("-1 2")
 
 
+def test_parse_edge_list_refuses_too_many_vertices():
+    # any labels will do for 64 vertices; the 65th is refused by count, not
+    # by the internal label it would get
+    path = "\n".join(f"{u} {u + 1}" for u in range(100, 163))
+    g, labels = parse_edge_list(path)
+    assert len(g) == 64 and labels[-1] == 163
+    with pytest.raises(GraphError, match=r"^at most 64 vertices are supported, got 66$"):
+        parse_edge_list(path + "\n163 164\n164 165")
+
+
 def test_labeled_graph_counts():
     # 2^C(n,2) labeled graphs on n vertices
     assert sum(1 for _ in all_labeled_graphs(4)) == 64

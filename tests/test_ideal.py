@@ -322,7 +322,7 @@ def test_is_cover_matches_every_face_definition():
 
 
 # ----------------------------------------------------------------------
-# the successor table and the face tables it serves
+# element keys and the face tables they serve
 
 def _relabelled_seven_vertex_graphs(seed, count):
     """Seeded G(7, 1/2) graphs relabelled onto labels up to 40."""
@@ -333,20 +333,21 @@ def _relabelled_seven_vertex_graphs(seed, count):
     ]
 
 
-def test_successor_table_is_append_letter():
-    for g in iso_classes(5):
+def test_element_keys_name_their_classes():
+    for g in [*iso_classes(5), *_relabelled_seven_vertex_graphs(53, 2)]:
         ideal = enumerate_ideal(g)
+        assert len(set(ideal.keys)) == len(ideal.keys) == ideal.element_count()
         for r, words in enumerate(ideal.ranks):
             for i, w in enumerate(words):
-                assert ideal.flat_id(w) - ideal.offsets[r] == i
                 flat = ideal.flat_id(w)
+                assert flat - ideal.offsets[r] == i
                 assert ideal.words[flat] == w
+                for rep in representatives(w, g):
+                    assert ideal.class_id(rep) == flat
+                # the successor relation: appending a free letter
                 for x in g.vertices:
-                    if x in w:
-                        assert ideal.succ[x][flat] == -1
-                    else:
-                        assert ideal.words[ideal.succ[x][flat]] == append_letter(w, x, g)
-        assert all(len(column) == ideal.element_count() for column in ideal.succ.values())
+                    if x not in w:
+                        assert ideal.class_id(w + (x,)) == ideal.flat_id(append_letter(w, x, g))
 
 
 def test_face_table_matches_word_faces():
@@ -362,7 +363,7 @@ def test_face_table_matches_word_faces():
             assert ideal.face_table(r) == expected
 
 
-def test_enumeration_appends_each_free_letter_once(monkeypatch):
+def test_enumeration_appends_once_per_class(monkeypatch):
     calls = []
 
     def counted(word, x, graph):
@@ -373,8 +374,8 @@ def test_enumeration_appends_each_free_letter_once(monkeypatch):
     for g in [*iso_classes(4), *_relabelled_seven_vertex_graphs(67, 2)]:
         calls.clear()
         ideal = ideal_mod._enumerate.__wrapped__(g)
-        below_top = [w for words in ideal.ranks[:-1] for w in words]
-        assert len(calls) == sum(len(g) - len(w) for w in below_top)
+        # one normal form built per element above rank 0, the rest keyed only
+        assert len(calls) == ideal.element_count() - len(ideal.ranks[0])
 
 
 def test_hot_paths_never_normalise(monkeypatch):
