@@ -296,9 +296,12 @@ class BooleanIdeal:
         return self.covers(self.flat_id(lower), self.flat_id(upper))
 
     def covers(self, lo, up):
-        """``is_cover`` on flat ids: the keys differ in exactly one vertex
+        """``is_cover`` on flat ids."""
+        return self.key_covers(self.keys[lo], self.keys[up])
+
+    def key_covers(self, lower, upper):
+        """Cover test on any keys of this encoding: exactly one extra vertex
         bit, and deleting that vertex from the upper key gives the lower."""
-        lower, upper = self.keys[lo], self.keys[up]
         kill = self._kill.get((lower ^ upper) & self._vertex_bits)
         return kill is not None and upper & kill == lower
 
@@ -347,13 +350,22 @@ def _enumerate(graph):
     return BooleanIdeal(graph, tuple(ranks), tuple(keys), letters)
 
 
+_counted = {}  # exact element counts enumerate_ideal has taken, for at most 512 graphs
+
+
 def enumerate_ideal(graph, budget=None):
     """All elements of every rank, deduplicated by normal form (cached by
-    graph).  The budget, ``BUILD_BUDGET`` when None, is counted first."""
+    graph).  The budget, ``BUILD_BUDGET`` when None, meets the exact count
+    first, taken once per graph."""
     if budget is None:
         budget = BUILD_BUDGET
     if not _fits_every_graph(len(graph), budget):
-        rank_sizes(graph, budget)
+        if graph not in _counted:
+            if len(_counted) >= 512:
+                _counted.clear()
+            _counted[graph] = sum(rank_sizes(graph, budget))  # or BudgetError
+        if _counted[graph] > budget:
+            raise _over_budget(graph, budget)
     return _enumerate(graph)
 
 

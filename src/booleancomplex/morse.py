@@ -22,34 +22,33 @@ The construction recurses along an edge e = {s, t}: the ideal splits into the
 block of elements writable as alpha-s-t-gamma and its complement; the
 complement pulls back the matching of G - e through the coarsening projection,
 the block pulls back the matching of the contraction G/e through the
-substitution alpha-x-gamma -> alpha-s-t-gamma.  The block is computed once per
-step as that substitution's image over the elements of B(G/e) containing x
-(``admits_adjacent_pair`` is its reference definition).  An isolated anchor
-instead doubles the matching of G minus s.  The base cases are a single
-vertex (left unmatched) and edgeless graphs (pair sigma with pivot*sigma).
+substitution alpha-x-gamma -> alpha-s-t-gamma.  An isolated anchor instead
+doubles the matching of G minus s.  The base cases are edgeless graphs (pair
+sigma with pivot*sigma; a lone vertex stays unmatched).
 
-Each step works on the flat element ids of its graph's ideal, and words are
-built once, for the ``Matching`` returned.  The budget binds the root ideal
-alone; every ideal a step recurses into is no larger.  A word is carried to
-another ideal by growing that ideal's key for it (``BooleanIdeal.class_id``),
-never by normalising it.  Every cover check reads the ideal's one face
-relation, ``BooleanIdeal.covers`` or its ``face_table``.  Both checkers take
-flat ids from one pass over a matching's pairs that refuses a non-cover:
-``verify_acyclic`` topologically sorts the whole reversed Hasse diagram with
-``graphlib``, and ``verify_h_properties`` reads one partner array, so a cell
-matched twice fails H1.
+A build enumerates only its graph's own ideal, which the budget binds, and
+derives each sub-ideal's element keys (``ideal``'s vertex set and acyclic
+orientation) from its parent's: an element is in the block iff s -> t and no
+path of two or more edges runs from s to t (``admits_adjacent_pair`` is the
+reference), B(G/e) merges s and t in the block's keys, and B(G - e) forgets
+e's orientation in the rest.  Words are built once, at the root, and each
+cover check is a mask test on keys.  Both checkers take flat ids from one
+pass over a matching's pairs that refuses a non-cover: ``verify_acyclic``
+topologically sorts the whole reversed Hasse diagram with ``graphlib``, and
+``verify_h_properties`` reads one partner array, so a cell matched twice
+fails H1.
 """
 
 from __future__ import annotations
 
 import graphlib
-import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from . import beta as beta_mod
-from .graph import Graph, GraphError, UnknownVertexError
+from .graph import Graph, GraphError, UnknownVertexError, _bits
 from .ideal import enumerate_ideal, format_word, rank_sizes, trace_order
 
 
@@ -87,137 +86,126 @@ def build_h_matching(graph, s, budget=None):
         raise GraphError("cannot match the ideal of an empty graph")
     if s not in graph:
         raise UnknownVertexError(f"vertex {s} not in graph")
-    words = enumerate_ideal(graph, budget).words
-    cache = {}
-
-    def build(g, v):
-        key = (g, v)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = _build(g, v, build)
-        return got
-
-    lower, upper, rank0, maximal = build(graph, s)
+    ideal = enumerate_ideal(graph, budget)
+    lower, upper, rank0, maximal = _Build(ideal)(graph, s, ideal.keys)
+    word = dict(zip(ideal.keys, ideal.words))
     return Matching(
-        graph, s, tuple((words[lo], words[up]) for lo, up in zip(lower, upper)),
-        words[rank0], tuple(words[i] for i in maximal),
+        graph, s, tuple((word[lo], word[up]) for lo, up in zip(lower, upper)),
+        word[rank0], tuple(sorted(word[k] for k in maximal)),
     )
 
 
+class _Build:
+    """A build's node cache.  Calling it runs a node on the keys its parent
+    derived, handed over in ``keys`` and taken on entry, so freed on return.
+    Every node's graph keeps a subset of the root's vertices, so all keys use
+    the root ideal's vertex positions (``bit``)."""
+
+    def __init__(self, ideal):
+        self.m, self.covers, self.cache, self.keys = len(ideal.graph), ideal.key_covers, {}, None
+        self.bit = {v: 1 << p for p, v in enumerate(ideal.graph.vertices)}
+
+    def __call__(self, g, v, keys):
+        got = self.cache.get((g, v))
+        if got is None:
+            self.keys = keys
+            got = self.cache[g, v] = _build(g, v, self)
+        return got
+
+
+def _word(key, m):
+    """A key's normal form as positions: least vertex with no unwritten in-neighbour first."""
+    rest, word = key & (1 << m) - 1, []
+    while rest:
+        word.append(next(p for p in _bits(rest) if not key >> m * (p + 1) & rest))
+        rest ^= 1 << word[-1]
+    return word
+
+
 def _build(g, v, build):
-    """One construction step, on flat ids of g's ideal: the matched pairs as
-    parallel arrays of lower and upper ids, the unmatched rank-0 element and
-    the unmatched maximal elements."""
-    if len(g) == 1:
-        # trivial matching: the lone vertex is the unmatched rank-0 element
-        return array("i"), array("i"), 0, ()
-    if not g.edges:
-        return _build_edgeless(g, v)
-    if g.degree(v) == 0:
-        return _build_isolated_anchor(g, v, build)
-    return _build_along_edge(g, v, build)
+    """One construction step on the keys of g's ideal: lower and upper keys of
+    the pairs, the unmatched rank-0 key and the sorted unmatched maximal keys."""
+    keys, build.keys = build.keys, None
+    if g.degree(v):
+        lower, upper = _build_along_edge(g, v, keys, build)
+    elif any(map(g.degree, g.vertices)):
+        lower, upper = _build_isolated_anchor(g, v, keys, build)
+    else:
+        return _build_edgeless(g, v, build)
+    # locate the unmatched keys and check the shape promised by H1
+    matched = {*lower, *upper}
+    assert len(matched) == 2 * len(lower), "element matched twice"
+    unmatched = [k for k in keys if k not in matched]
+    rank0 = [k for k in unmatched if k.bit_count() == 1]
+    assert len(rank0) == 1, "exactly one rank-0 element stays unmatched"
+    top = sorted(k for k in unmatched if (k & (1 << build.m) - 1).bit_count() == len(g))
+    assert len(top) + 1 == len(unmatched), "middle ranks must be fully matched"
+    return lower, upper, rank0[0], tuple(top)
 
 
-def _build_edgeless(g, v):
-    # everything commutes: elements are the nonempty subsets, written sorted.
-    # Pair sigma with pivot + sigma for every sigma avoiding the pivot.
-    pivot = min(u for u in g.vertices if u != v)
-    ideal = enumerate_ideal(g, math.inf)
-    words = ideal.words
-    lower = array("i", [i for i, w in enumerate(words) if pivot not in w])
-    upper = array("i", [ideal.class_id(words[i] + (pivot,)) for i in lower])
-    return lower, upper, ideal.flat_id((pivot,)), ()
+def _build_edgeless(g, v, build):
+    # everything commutes: the keys are the vertex subsets.  Pair sigma with
+    # pivot + sigma for every sigma avoiding the pivot, by rank, then by word;
+    # a lone vertex is its own pivot, left unmatched.
+    pivot = min((u for u in g.vertices if u != v), default=v)
+    others, bit = [build.bit[u] for u in g.vertices if u != pivot], build.bit[pivot]
+    lower = [sum(c) for r in range(1, len(others) + 1) for c in combinations(others, r)]
+    return lower, [k | bit for k in lower], bit, ()
 
 
-def _build_isolated_anchor(g, v, build):
+def _build_isolated_anchor(g, v, keys, build):
     # v commutes with everything: the ideal is B(H) + B(H)*v + {v} for
-    # H = g minus v.  Double the matching of B(H), send v to 1*v, and close
-    # each unmatched maximal sigma with sigma*v.
-    h = g.delete_vertex(v)
+    # H = g minus v, and appending v sets its bit.  Double the matching of
+    # B(H), send v to 1*v, and close each unmatched maximal sigma with
+    # sigma*v, in the order of their words.
+    h, bv = g.delete_vertex(v), build.bit[v]
     anchor = min(u for u in h.vertices if h.degree(u) > 0)
-    h_lower, h_upper, h_rank0, h_maximal = build(h, anchor)
-    ideal = enumerate_ideal(g, math.inf)
-    # the words avoiding v are B(H)'s, with the same normal forms and order;
-    # each is used once with v appended
-    lift = [i for i, w in enumerate(ideal.words) if v not in w]
-    assert len(lift) == 2 * len(h_lower) + 1 + len(h_maximal), "B(H) sits inside B(G)"
-    times_v = [ideal.class_id(ideal.words[i] + (v,)) for i in lift]
-    lower = array("i", [lift[i] for i in h_lower])
-    upper = array("i", [lift[i] for i in h_upper])
-    lower.extend([times_v[i] for i in h_lower])
-    upper.extend([times_v[i] for i in h_upper])
-    lower.append(ideal.flat_id((v,)))
-    upper.append(times_v[h_rank0])
-    for i in h_maximal:
-        lower.append(lift[i])
-        upper.append(times_v[i])
-    return _assemble(ideal, lower, upper)
+    h_lower, h_upper, h_rank0, h_maximal = build(h, anchor, [k for k in keys if not k & bv])
+    assert len(keys) == 2 * (2 * len(h_lower) + 1 + len(h_maximal)) + 1, "B(H) sits inside B(G)"
+    maximal = sorted(h_maximal, key=lambda k: _word(k, build.m))
+    lower = [*h_lower, *(k | bv for k in h_lower), bv, *maximal]
+    return lower, [*h_upper, *(k | bv for k in h_upper), h_rank0 | bv, *(k | bv for k in maximal)]
 
 
-def _build_along_edge(g, v, build):
+def _build_along_edge(g, v, keys, build):
     t = min(g.neighbors(v))
-    edge = (v, t)
-    x = min(v, t)  # contraction names the merged vertex by the smaller label
-    ideal = enumerate_ideal(g, math.inf)
+    x, y = sorted((v, t))  # contraction names the merged vertex by the smaller label
+    m, bit = build.m, build.bit
+    field, bs, bt, both = (1 << m) - 1, bit[v], bit[t], bit[v] | bit[t]
+    st, sx, sy = m * bt.bit_length(), m * bit[x].bit_length(), m * bit[y].bit_length()
+    e_bits, keep = bs << st | bt << m * bs.bit_length(), ~(bit[y] | field << sx | field << sy)
+    out_y, in_x = sum(bit[y] << m * (p + 1) for p in range(m)), (field & ~both) << sx
+    # the block (s -> t, no longer path s ~> t) is B(G/e)'s x-elements under
+    # x -> s-t; the rest maps onto B(G - e) by forgetting e's orientation
+    substituted, section = {}, {}
+    for k in keys:
+        if k & both == both and k >> st & bs:
+            seen = todo = k >> st & field & ~bs  # walk back from t's other in-neighbours
+            while todo and not seen & bs:
+                low = todo & -todo
+                new = k >> m * low.bit_length() & field & ~seen
+                todo, seen = todo ^ low | new, seen | new
+            if not seen & bs:
+                # merge y into x: x's field takes both, y's bit elsewhere moves to x's
+                c = k & keep
+                moved = c & out_y
+                substituted[c ^ moved | moved >> (sy - sx) // m | (k | k >> sy - sx) & in_x] = k
+                continue
+        section[k & ~e_bits] = k
+    assert len(substituted) + len(section) == len(keys), "both block maps must be injective"
+    # B(G/e)'s elements without x are G's avoiding s and t, keys unchanged
+    f_lower, f_upper = build(g.contract_edge((v, t)), x,
+                             [*(k for k in keys if not k & both), *substituted])[:2]
+    h_lower, h_upper = build(g.delete_edge((v, t)), v, section.keys())[:2]
 
-    f = g.contract_edge(edge)
-    f_lower, f_upper = build(f, x)[:2]
-    f_ideal = enumerate_ideal(f, math.inf)
-    in_block = bytearray(ideal.element_count())
-    substituted = array("i", [-1]) * f_ideal.element_count()
-    for j, w in enumerate(f_ideal.words):
-        if x in w:
-            i = w.index(x)
-            image = ideal.class_id(w[:i] + edge + w[i + 1:])
-            assert not in_block[image], "substitution must be injective"
-            in_block[image] = 1
-            substituted[j] = image
-
-    h = g.delete_edge(edge)
-    h_lower, h_upper = build(h, v)[:2]
-    # the complement block maps bijectively onto B(G - e) by taking each
-    # word's class in the coarser commutation relation
-    h_ideal = enumerate_ideal(h, math.inf)
-    section = array("i", [-1]) * h_ideal.element_count()
-    for i, (w, blocked) in enumerate(zip(ideal.words, in_block)):
-        if not blocked:
-            image = h_ideal.class_id(w)
-            assert section[image] < 0, "projection must be injective off the block"
-            section[image] = i
-    assert in_block.count(0) == len(section)
-
-    lower, upper = array("i"), array("i")
-    for lo, up in zip(h_lower, h_upper):
-        glo, gup = section[lo], section[up]
-        # a matched pair downstairs lifts to a genuine cover upstairs
-        assert ideal.covers(glo, gup), "lifted pair must be a cover"
-        lower.append(glo)
-        upper.append(gup)
-
+    # matched pairs downstairs lift to genuine covers upstairs
+    lower, upper = [section[k] for k in h_lower], [section[k] for k in h_upper]
     for lo, up in zip(f_lower, f_upper):
-        glo, gup = substituted[lo], substituted[up]
-        if glo >= 0 and gup >= 0:
-            assert ideal.covers(glo, gup), "substituted pair must be a cover"
-            lower.append(glo)
-            upper.append(gup)
-
-    return _assemble(ideal, lower, upper)
-
-
-def _assemble(ideal, lower, upper):
-    """Finish a construction step: locate the unmatched elements and check
-    the shape promised by H1."""
-    matched = bytearray(ideal.element_count())
-    for lo, up in zip(lower, upper):
-        assert not matched[lo] and not matched[up], "element matched twice"
-        matched[lo] = matched[up] = 1
-    sizes = ideal.rank_sizes()
-    unmatched0 = [i for i in range(sizes[0]) if not matched[i]]
-    assert len(unmatched0) == 1, "exactly one rank-0 element stays unmatched"
-    top_start = len(matched) - sizes[-1]
-    assert all(matched[sizes[0]:top_start]), "middle ranks must be fully matched"
-    top = tuple(i for i in range(top_start, len(matched)) if not matched[i])
-    return lower, upper, unmatched0[0], top
+        if lo in substituted:  # then up holds x too
+            lower.append(substituted[lo])
+            upper.append(substituted[up])
+    assert all(map(build.covers, lower, upper)), "lifted and substituted pairs must be covers"
+    return lower, upper
 
 
 # ----------------------------------------------------------------------

@@ -193,6 +193,27 @@ def test_every_build_refuses_k9_before_building(build, monkeypatch):
     assert calls == []
 
 
+def test_enumeration_counts_each_graph_once(monkeypatch):
+    # a 9-vertex graph is counted against the budget (K9 would not fit it),
+    # but a repeat call compares the budget with the count already made
+    counts = []
+
+    def spy(graph, budget=None):
+        counts.append(graph)
+        return rank_sizes(graph, budget)
+
+    monkeypatch.setattr(ideal_mod, "rank_sizes", spy)
+    g = random_graph(random.Random(41), 9, p=0.3)
+    total = sum(rank_sizes(g))
+    first = enumerate_ideal(g)
+    counts.clear()
+    assert enumerate_ideal(g) is first
+    assert enumerate_ideal(g, budget=total) is first
+    with pytest.raises(BudgetError, match=rf"budget \({total - 1}\)"):
+        enumerate_ideal(g, budget=total - 1)
+    assert counts == []
+
+
 # ----------------------------------------------------------------------
 # counting without enumerating
 

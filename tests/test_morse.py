@@ -45,8 +45,8 @@ A3 = Graph(edges=[(1, 2), (2, 3)])
 # construction on the base cases
 
 def test_raised_budget_reaches_every_sub_ideal(monkeypatch):
-    # with a building default of 10, C5's ideal (120 elements) and most of
-    # its sub-ideals are over it; the root's raised budget binds them all
+    # with a building default of 10, C5's ideal (120 elements) is over it;
+    # the root's raised budget is the only one, as sub-ideals are derived
     monkeypatch.setattr(ideal_mod, "BUILD_BUDGET", 10)
     m = build_h_matching(cycle_graph(5), 0, budget=1000)
     assert len(m.unmatched_maximal) == cycle_count(4) == 9
@@ -301,6 +301,43 @@ def test_matchings_are_pinned_up_to_five_vertices():
     assert digest.hexdigest() == (
         "26a8e5bc21ad759c5d48eacf06e704baf13516018b86d8bcaedce3e2a13e0017"
     )
+
+
+def test_matchings_are_pinned_on_six_vertices():
+    # the same digest over the 936 anchored matchings of the 156 classes on
+    # exactly 6 vertices, taken when every node enumerated its own ideal;
+    # deriving each node's keys from its parent's must leave them as they were
+    digest = hashlib.sha256()
+    count = 0
+    for g in iso_classes(6):
+        if len(g) < 6:
+            continue
+        for s in g.vertices:
+            m = build_h_matching(g, s)
+            digest.update(repr((m.pairs, m.unmatched_rank0, m.unmatched_maximal)).encode())
+            count += 1
+    assert count == 936
+    assert digest.hexdigest() == (
+        "a5081b58c9fc32d1868208a0a54331e58448f909c2e3b63e29ba1c8945852976"
+    )
+
+
+def test_build_enumerates_only_the_root():
+    # every node below the root derives its keys from its parent's, so one
+    # build enumerates one ideal whichever base cases it reaches
+    rng = random.Random(137)
+    cases = [
+        (cycle_graph(6), 0),
+        (complete_graph(5), 2),
+        (random_graph(rng, 7), 3),
+        (Graph(edges=[(0, 1), (1, 2), (2, 3)], vertices=[0, 1, 2, 3, 4]), 4),  # isolated anchor
+        (edgeless_graph(5), 1),
+    ]
+    for g, s in cases:
+        ideal_mod._enumerate.cache_clear()
+        m = build_h_matching(g, s)
+        assert ideal_mod._enumerate.cache_info().misses == 1, g
+        assert len(m.unmatched_maximal) == beta_recursive(g).value
 
 
 def test_matchings_pass_everything_on_random_six_vertex_graphs():
