@@ -89,8 +89,6 @@ def beta_recursive(graph, memo=None):
         nonlocal calls
         calls += 1
         n = len(g)
-        if n == 0:
-            return 1  # the formal value closing the recursion at A2
         if g.has_isolated_vertex():
             return 0
         comps = g.components()

@@ -1,9 +1,10 @@
 """Finite simple graphs with stable small-integer labels.
 
-Vertex labels are integers from 0 to ``MAX_LABEL``, so vertex sets
-and neighbourhoods fit in single machine-word bitmasks.  Graphs are immutable
-value objects; every operation returns a new ``Graph`` and never renames the
-surviving vertices.  In particular contracting the edge {s, t} keeps
+Vertex labels are integers from 0 to ``MAX_LABEL``, so neighbourhoods fit
+in single machine-word bitmasks.  A graph stores its vertices once, as the
+keys of a dict from vertex to neighbour mask in ascending label order.  Graphs
+are immutable value objects; every operation returns a new ``Graph`` and never
+renames the surviving vertices.  In particular contracting the edge {s, t} keeps
 ``min(s, t)`` as the label of the merged vertex, which the word-poset
 machinery downstream relies on.
 
@@ -45,29 +46,27 @@ def _bits(mask):
 
 
 class Graph:
-    """Immutable finite simple graph on small integer labels."""
+    """Immutable finite simple graph on small integer labels.
 
-    __slots__ = ("_vmask", "_adj", "_hash")
+    ``_adj`` maps each vertex to its neighbour mask, in ascending label order;
+    every method that makes a graph keeps that order.  ``__eq__`` compares the
+    dicts, which ignores order, but ``__hash__`` hashes keys and values as they
+    lie, so equal graphs hash alike only because their dicts share one order.
+    """
+
+    __slots__ = ("_adj",)
 
     def __init__(self, edges=(), vertices=()):
-        vmask = 0
-        for v in vertices:
-            vmask |= 1 << self._check_label(v)
-        adj = {}
+        adj = {self._check_label(v): 0 for v in vertices}
         for e in edges:
             u, v = e
             u = self._check_label(u)
             v = self._check_label(v)
             if u == v:
                 raise InvalidEdgeError(f"self-loop at vertex {u}")
-            vmask |= (1 << u) | (1 << v)
             adj[u] = adj.get(u, 0) | (1 << v)
             adj[v] = adj.get(v, 0) | (1 << u)
-        for v in _bits(vmask):
-            adj.setdefault(v, 0)
-        self._vmask = vmask
-        self._adj = adj
-        self._hash = None
+        self._adj = dict(sorted(adj.items()))
 
     @staticmethod
     def _check_label(v):
@@ -76,32 +75,30 @@ class Graph:
         return v
 
     @classmethod
-    def _from_masks(cls, vmask, adj):
+    def _from_adj(cls, adj):
+        """Wrap ``adj``, which the caller has put in ascending label order."""
         g = object.__new__(cls)
-        g._vmask = vmask
         g._adj = adj
-        g._hash = None
         return g
 
     # ------------------------------------------------------------------
     # views
 
     def __len__(self):
-        return self._vmask.bit_count()
+        return len(self._adj)
 
     def __contains__(self, v):
-        return 0 <= v <= MAX_LABEL and (self._vmask >> v) & 1 == 1
+        return v in self._adj
 
     @property
     def vertices(self):
-        return tuple(_bits(self._vmask))
+        return tuple(self._adj)
 
     @property
     def edges(self):
         out = []
-        for u in _bits(self._vmask):
-            higher = self._adj[u] >> (u + 1)
-            out.extend((u, u + 1 + w) for w in _bits(higher))
+        for u, mask in self._adj.items():
+            out.extend((u, u + 1 + w) for w in _bits(mask >> (u + 1)))
         return out
 
     def neighbor_mask(self, v):
@@ -120,17 +117,15 @@ class Graph:
         return (self.neighbor_mask(u) >> self._check_label(v)) & 1 == 1
 
     def has_isolated_vertex(self):
-        return any(self._adj[v] == 0 for v in _bits(self._vmask))
+        return not all(self._adj.values())
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vmask == other._vmask and self._adj == other._adj
+        return self._adj == other._adj
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._vmask, tuple(self._adj[v] for v in _bits(self._vmask))))
-        return self._hash
+        return hash((tuple(self._adj), tuple(self._adj.values())))
 
     def __repr__(self):
         return f"Graph(edges={self.edges!r}, vertices={list(self.vertices)!r})"
@@ -159,7 +154,7 @@ class Graph:
         adj = dict(self._adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph._from_masks(self._vmask, adj)
+        return Graph._from_adj(adj)
 
     def delete_edge(self, e):
         """Same vertices, the edge removed."""
@@ -167,7 +162,7 @@ class Graph:
         adj = dict(self._adj)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        return Graph._from_masks(self._vmask, adj)
+        return Graph._from_adj(adj)
 
     def contract_edge(self, e):
         """Simple contraction: merge the endpoints, drop loops and doubled
@@ -176,42 +171,42 @@ class Graph:
         keep, drop = (u, v) if u < v else (v, u)
         kbit, dbit = 1 << keep, 1 << drop
         adj = {}
-        for w in _bits(self._vmask & ~dbit):
+        for w, m in self._adj.items():
+            if w == drop:
+                continue
             if w == keep:
-                adj[keep] = (self._adj[u] | self._adj[v]) & ~(kbit | dbit)
-            else:
-                m = self._adj[w]
-                if m & dbit:
-                    m = (m & ~dbit) | kbit
-                adj[w] = m
-        return Graph._from_masks(self._vmask & ~dbit, adj)
+                m = (self._adj[u] | self._adj[v]) & ~(kbit | dbit)
+            elif m & dbit:
+                m = (m & ~dbit) | kbit
+            adj[w] = m
+        return Graph._from_adj(adj)
 
     def extract_edge(self, e):
         """Remove the edge together with both endpoints (induced subgraph on
         the rest; possibly empty)."""
         u, v = self._check_edge(e)
-        return self._induced(self._vmask & ~((1 << u) | (1 << v)))
+        return self._without((1 << u) | (1 << v))
 
     def delete_vertex(self, s):
         """Induced subgraph on the other vertices."""
         self._check_vertex(s)
-        return self._induced(self._vmask & ~(1 << s))
+        return self._without(1 << s)
 
-    def _induced(self, mask):
-        return Graph._from_masks(mask, {v: self._adj[v] & mask for v in _bits(mask)})
+    def _without(self, mask):
+        """Induced subgraph on the vertices outside ``mask``."""
+        return Graph._from_adj(
+            {v: m & ~mask for v, m in self._adj.items() if not (mask >> v) & 1}
+        )
 
     def relabel(self, mapping):
         """New graph with vertex ``v`` renamed ``mapping[v]`` (a bijection)."""
-        new = {self._check_label(mapping[v]): 0 for v in _bits(self._vmask)}
-        if len(new) != len(self):
+        old = {self._check_label(mapping[v]): v for v in self._adj}
+        if len(old) != len(self):
             raise GraphError("relabel mapping is not injective")
-        for v in _bits(self._vmask):
-            for w in _bits(self._adj[v]):
-                new[mapping[v]] |= 1 << mapping[w]
-        vmask = 0
-        for v in new:
-            vmask |= 1 << v
-        return Graph._from_masks(vmask, new)
+        return Graph._from_adj({
+            w: sum(1 << mapping[u] for u in _bits(self._adj[v]))
+            for w, v in sorted(old.items())
+        })
 
     # ------------------------------------------------------------------
     # connectivity
@@ -219,18 +214,20 @@ class Graph:
     def components(self):
         """Maximal connected subgraphs, ordered by smallest vertex label."""
         out = []
-        rem = self._vmask
-        while rem:
-            comp = rem & -rem
-            frontier = comp
+        seen = 0
+        for v in self._adj:
+            if (seen >> v) & 1:
+                continue
+            comp = frontier = 1 << v
             while frontier:
                 grown = 0
-                for v in _bits(frontier):
-                    grown |= self._adj[v]
+                for w in _bits(frontier):
+                    grown |= self._adj[w]
                 frontier = grown & ~comp
                 comp |= frontier
-            out.append(self._induced(comp))
-            rem &= ~comp
+            seen |= comp
+            # a component is closed under adjacency, so its masks stand as they are
+            out.append(Graph._from_adj({w: self._adj[w] for w in _bits(comp)}))
         return out
 
     def is_connected(self):
@@ -258,7 +255,7 @@ class Graph:
             return bytes([0])
         verts = self.vertices
         pos = {v: i for i, v in enumerate(verts)}
-        nbrs = [tuple(pos[w] for w in _bits(self._adj[v])) for v in verts]
+        nbrs = [tuple(pos[w] for w in _bits(m)) for m in self._adj.values()]
         adjbit = [0] * n
         for i in range(n):
             for j in nbrs[i]:

@@ -287,6 +287,9 @@ def test_bad_edges_exit(capsys):
 
 def test_no_input_exit(capsys):
     assert run(["beta"]) == EXIT_PARSE
+    capsys.readouterr()
+    assert run(["beta", "--edges", "# only a comment"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: the input graph is empty\n"
 
 
 def test_label_mapping_reported(capsys):

@@ -56,6 +56,18 @@ def test_rejects_bad_input():
         Graph(vertices=[64])
     with pytest.raises(UnknownVertexError):
         path_graph(3).degree(9)
+    with pytest.raises(GraphError, match="not injective"):
+        path_graph(3).relabel({0: 5, 1: 5, 2: 6})
+    with pytest.raises(InvalidEdgeError):
+        path_graph(3).add_edge((1, 1))
+    with pytest.raises(UnknownVertexError):
+        path_graph(3).add_edge((0, 9))
+    with pytest.raises(UnknownVertexError):
+        path_graph(3).delete_vertex(9)
+    assert (Graph() == 3) is False
+    assert Graph().canonical_key() == bytes([0])
+    with pytest.raises(FamilyError):
+        cycle_graph(2)
 
 
 def test_parallel_edges_collapse():
@@ -140,7 +152,8 @@ def test_extract_equals_double_vertex_deletion():
         if not g.edges:
             continue
         s, t = rng.choice(g.edges)
-        assert g.extract_edge((s, t)) == g.delete_vertex(s).delete_vertex(t)
+        got, want = g.extract_edge((s, t)), g.delete_vertex(s).delete_vertex(t)
+        assert got == want and hash(got) == hash(want)
 
 
 def test_delete_then_readd_recovers():
@@ -150,7 +163,23 @@ def test_delete_then_readd_recovers():
         if not g.edges:
             continue
         e = rng.choice(g.edges)
-        assert g.delete_edge(e).add_edge(e) == g
+        back = g.delete_edge(e).add_edge(e)
+        assert back == g and hash(back) == hash(g)
+
+
+def test_relabel_round_trip_keeps_label_order_and_hash():
+    # a graph's vertices are kept in ascending label order whatever the map,
+    # and equal graphs hash alike
+    rng = random.Random(7)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(1, 8))
+        images = rng.sample(range(64), len(g))
+        forward = dict(zip(g.vertices, images))
+        moved = g.relabel(forward)
+        assert moved.vertices == tuple(sorted(images))
+        back = moved.relabel({w: v for v, w in forward.items()})
+        assert back == g and hash(back) == hash(g)
+        assert back.vertices == g.vertices
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,13 @@ from booleancomplex import (
 )
 from booleancomplex import ideal as ideal_mod
 from booleancomplex.beta import cycle_count, fibonacci
-from booleancomplex.homology import gf2_kernel, gf2_rank, gf2_rref, load_an_generators
+from booleancomplex.homology import (
+    _parse_block,
+    gf2_kernel,
+    gf2_rank,
+    gf2_rref,
+    load_an_generators,
+)
 from helpers import iso_classes, random_graph
 
 A2 = Graph(edges=[(1, 2)])
@@ -254,6 +260,8 @@ def test_stored_fixture_chains_verify():
     g6, gens6 = fixtures[6]
     assert all(verify_cycle(g6, c) for c in gens6)
     assert all(len(c.support) > 0 for c in gens5 + gens6)
+    with pytest.raises(GraphError, match="malformed cycle block"):
+        _parse_block("[12] junk")
 
 
 def test_an_fixture_suite_all_green():

@@ -205,7 +205,10 @@ def test_enumeration_counts_each_graph_once(monkeypatch):
     monkeypatch.setattr(ideal_mod, "rank_sizes", spy)
     g = random_graph(random.Random(41), 9, p=0.3)
     total = sum(rank_sizes(g))
+    # a full table of counts is cleared before the next one is stored
+    monkeypatch.setattr(ideal_mod, "_counted", {i: 0 for i in range(512)})
     first = enumerate_ideal(g)
+    assert ideal_mod._counted == {g: total}
     counts.clear()
     assert enumerate_ideal(g) is first
     assert enumerate_ideal(g, budget=total) is first

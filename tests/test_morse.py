@@ -391,8 +391,10 @@ def test_covers_leaving_the_block_delete_an_endpoint():
 
 
 def test_block_is_the_substitution_image():
-    # the build reads the block {alpha-s-t-gamma} off the substitution
-    # alpha-x-gamma -> alpha-s-t-gamma; admits_adjacent_pair is the reference
+    # the substitution identity the build relies on: alpha-x-gamma ->
+    # alpha-s-t-gamma maps B(G/e)'s x-elements onto the block {alpha-s-t-gamma}
+    # (the build finds the block by key reachability: s -> t and no longer
+    # path from s to t); admits_adjacent_pair is the reference
     oriented = 0
     for g in iso_classes(6):
         ideal = enumerate_ideal(g)
