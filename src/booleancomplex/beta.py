@@ -6,7 +6,9 @@ graph G is homotopy equivalent to a wedge of beta(G) spheres of dimension
 
 * the edge recursion  beta(G) = beta(G-e) + beta(G/e) + beta(G-[e])
   (delete / simply contract / extract), with beta(A2) = 1, beta of any graph
-  with an isolated vertex = 0, and multiplicativity over components;
+  with an isolated vertex = 0, and multiplicativity over components; each
+  connected subproblem is memoised by dense form, then by canonical key among
+  the graphs that share its degree sequence;
 * the Euler characteristic,  beta(G) = (-1)^(n-1) (chi - 1), with chi
   counted from acyclic orientations rather than enumerated;
 * the covering-edge-subset sum  sum_{B <= E, V(B) = V} (-1)^(n + |B| - k(B));
@@ -75,9 +77,11 @@ def beta_recursive(graph, memo=None):
     """Sphere count by the deletion / contraction / extraction recursion.
 
     The value depends only on the unlabeled graph, so every connected
-    subproblem of three or more vertices is memoised under its canonical
-    (isomorphism) key, at every size.  ``memo`` may be a dict shared across
-    calls, so relabelled repeats are free.
+    subproblem of three or more vertices is memoised by isomorphism class, at
+    every size: first by dense form, then, since isomorphic graphs share a
+    degree sequence, by canonical key among the graphs that share one.  A
+    graph first with its sequence is not keyed until a second one arrives.
+    ``memo`` may be a dict shared across calls, so relabelled repeats are free.
     """
     if len(graph) == 0:
         raise GraphError("beta is defined for nonempty graphs")
@@ -96,12 +100,30 @@ def beta_recursive(graph, memo=None):
             return math.prod(rec(c) for c in comps)
         if n == 2:
             return 1  # connected two-vertex graph is A2
-        key = g.canonical_key()
-        if key in memo:
-            return memo[key]
+        form = g.dense_form()
+        if form in memo:
+            return memo[form]
+        # an isomorphic graph shares the degree sequence, so only a graph
+        # whose sequence was met before needs a canonical key; the entry sits
+        # under bytes, which no form (a tuple) equals
+        keyed, unkeyed = memo.setdefault(
+            bytes(sorted(m.bit_count() for m in form)), ({}, []))
+        key = None
+        if keyed or unkeyed:
+            for h, v in unkeyed:
+                keyed[h.canonical_key()] = v
+            unkeyed.clear()
+            key = g.canonical_key()
+            if key in keyed:
+                memo[form] = keyed[key]
+                return keyed[key]
         e = _pick_edge(g)
         value = rec(g.delete_edge(e)) + rec(g.contract_edge(e)) + rec(g.extract_edge(e))
-        memo[key] = value
+        if key is None:
+            unkeyed.append((g, value))
+        else:
+            keyed[key] = value
+        memo[form] = value
         return value
 
     return BetaResult(rec(graph), "recursion", calls)

@@ -4,14 +4,15 @@ Subcommands: beta, chi, enumerate, matching, homology, family, crosscheck.
 Graphs come from --family NAME:n, --edges "u v"-lines, or --file PATH; output
 is human text or, with --json, a stable schema (field "schema").
 
-Exit codes: 0 ok, 2 unparseable input, 3 budget exceeded, 4 cross-check
-mismatch.
+Exit codes: 0 ok, 1 output pipe closed early, 2 unparseable input, 3 budget
+exceeded, 4 cross-check mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import homology, morse
@@ -37,6 +38,7 @@ from .ideal import (
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
@@ -366,7 +368,15 @@ def run(argv=None):
 
 
 def console_main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``| head``); Python flushes stdout again at
+        # exit, so point it at devnull to keep that flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

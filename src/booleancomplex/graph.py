@@ -10,10 +10,11 @@ machinery downstream relies on.
 
 The module also has the plain constructors behind the named families (paths,
 forked paths, double forks, T-shapes, cycles, complete graphs, stars,
-edgeless graphs; the family table itself is in ``beta``), exact canonical
-keys for isomorphism-keyed memoisation (paths and cycles keyed by walking
-them, every other graph by a refinement search), one representative per
-isomorphism class for exhaustive sweeps, and a plain text edge-list parser.
+edgeless graphs; the family table itself is in ``beta``), dense forms for
+order-preserving copies and exact canonical keys for isomorphism classes
+(paths and cycles keyed by walking them, every other graph by a refinement
+search), one representative per isomorphism class for exhaustive sweeps, and
+a plain text edge-list parser.
 """
 
 from __future__ import annotations
@@ -236,6 +237,13 @@ class Graph:
     # ------------------------------------------------------------------
     # canonical keys
 
+    def dense_form(self):
+        """The neighbour masks with the vertices renamed 0..n-1 in ascending
+        label order: equal for two graphs iff an order-preserving bijection
+        maps one onto the other."""
+        pos = {v: i for i, v in enumerate(self._adj)}
+        return tuple(sum(1 << pos[w] for w in _bits(m)) for m in self._adj.values())
+
     def canonical_key(self):
         """Byte string equal for two graphs iff they are isomorphic.
 
@@ -253,13 +261,8 @@ class Graph:
         n = len(self)
         if n == 0:
             return bytes([0])
-        verts = self.vertices
-        pos = {v: i for i, v in enumerate(verts)}
-        nbrs = [tuple(pos[w] for w in _bits(m)) for m in self._adj.values()]
-        adjbit = [0] * n
-        for i in range(n):
-            for j in nbrs[i]:
-                adjbit[i] |= 1 << j
+        adjbit = self.dense_form()
+        nbrs = [tuple(_bits(m)) for m in adjbit]
 
         def refine(colors):
             ncolors = len(set(colors))

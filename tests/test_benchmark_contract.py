@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import booleancomplex as bc
-from booleancomplex import graph, ideal, path_graph
+from booleancomplex import cycle_graph, graph, ideal
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -31,7 +31,7 @@ def test_tracer_installs_traces_and_uninstalls():
         assert tracer._undo
         for owner, name, original in tracer._undo:
             assert vars(owner)[name] is not original, (owner, name)
-        tracer.run_op(0, bc.cross_check, path_graph(4))
+        tracer.run_op(0, bc.cross_check, cycle_graph(5))
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before

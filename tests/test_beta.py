@@ -32,7 +32,7 @@ from booleancomplex import ideal as ideal_module
 from booleancomplex.beta import FAMILIES, lucas, resolve_family, _pick_edge
 from helpers import iso_classes, random_graph, random_tree
 
-MEMO = {}  # shared across this module: keyed by canonical key, label-blind
+MEMO = {}  # shared across this module: beta does not depend on labels
 
 
 def beta(g):
@@ -59,11 +59,46 @@ def test_recursion_counts_calls():
 
 
 def test_recursion_memoises_above_ten_vertices():
-    # every connected subproblem is keyed by isomorphism class, whatever its
-    # size: unmemoised, A28 takes 20,317 calls
+    # every connected subproblem is memoised by isomorphism class, whatever
+    # its size (by dense form, or by canonical key once its degree sequence
+    # repeats): unmemoised, A28 takes 20,317 calls
     r = beta_recursive(path_graph(28))
     assert r.value == fibonacci(27)
     assert r.calls < 200
+
+
+def test_shared_memo_is_exact_across_relabellings():
+    # relabelled copies share degree sequences with the classes met before
+    # them, so this walks the keyed branch of the memo thousands of times
+    memo = {}
+    rng = random.Random(53)
+    for g in iso_classes(6):
+        want = beta_subset_formula(g).value
+        assert beta_recursive(g, memo).value == want
+        for _ in range(2):
+            labels = rng.sample(range(64), len(g))
+            copy = g.relabel(dict(zip(g.vertices, labels)))
+            assert beta_recursive(copy, memo).value == want
+
+
+def test_recursion_keys_only_on_a_shared_degree_sequence(monkeypatch):
+    keys = 0
+    canonical_key = Graph.canonical_key
+
+    def counted(graph):
+        nonlocal keys
+        keys += 1
+        return canonical_key(graph)
+
+    monkeypatch.setattr(Graph, "canonical_key", counted)
+    memo = {}
+    # every subproblem of a path repeats only as an order-preserving copy
+    assert beta_recursive(path_graph(28), memo).value == fibonacci(27)
+    assert keys == 0
+    labels = random.Random(59).sample(range(64), 28)
+    shuffled = path_graph(28).relabel(dict(enumerate(labels)))
+    assert beta_recursive(shuffled, memo).value == fibonacci(27)
+    assert keys >= 1
 
 
 def test_recursion_reaches_64_vertex_paths_and_cycles():

@@ -1,6 +1,10 @@
 """The command-line surface: subcommands, output schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from booleancomplex.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_PIPE,
     SCHEMA_VERSION,
     run,
 )
@@ -79,6 +84,26 @@ def test_enumerate_rank_sizes_and_words(capsys):
 
 def test_enumerate_budget_exit(capsys):
     assert run(["enumerate", "--family", "K:6", "--budget", "100"]) == EXIT_BUDGET
+
+
+def test_closed_output_pipe_exits_quietly():
+    # as `enumerate ... | head -n 1`: K7's words (96 kB) outgrow the pipe
+    # buffer, so the writer is still printing when the reader closes
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from booleancomplex.cli import console_main; console_main()",
+         "enumerate", "--family", "K:7", "--words"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"graph: 7 vertices, 21 edges\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 # ----------------------------------------------------------------------

@@ -214,6 +214,14 @@ def test_canonical_key_relabel_examples():
     assert edgeless_graph(2).canonical_key() != path_graph(2).canonical_key()
 
 
+def test_dense_form_is_equal_exactly_under_order_preserving_relabels():
+    path = path_graph(3)
+    assert path.dense_form() == Graph(edges=[(3, 7), (7, 9)]).dense_form()
+    middle_last = Graph(edges=[(0, 2), (2, 1)])  # the path 0-2-1
+    assert middle_last.canonical_key() == path.canonical_key()
+    assert middle_last.dense_form() != path.dense_form()
+
+
 def test_canonical_key_invariant_under_relabeling():
     rng = random.Random(23)
     for _ in range(120):
