@@ -24,6 +24,7 @@ CLI's ``beta --method``; a route refuses a graph only by raising
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ from .graph import (
     FamilyError,
     Graph,
     GraphError,
+    _bits,
     complete_graph,
     cycle_graph,
     double_fork_graph,
@@ -82,6 +84,8 @@ def beta_recursive(graph, memo=None):
     degree sequence, by canonical key among the graphs that share one.  A
     graph first with its sequence is not keyed until a second one arrives.
     ``memo`` may be a dict shared across calls, so relabelled repeats are free.
+    It takes a value only once known, so it stays exact when the recursion
+    passes Python's recursion limit and raises ``BudgetError``.
     """
     if len(graph) == 0:
         raise GraphError("beta is defined for nonempty graphs")
@@ -126,7 +130,11 @@ def beta_recursive(graph, memo=None):
         memo[form] = value
         return value
 
-    return BetaResult(rec(graph), "recursion", calls)
+    try:
+        return BetaResult(rec(graph), "recursion", calls)
+    except RecursionError:
+        raise BudgetError(f"edge recursion on {len(graph)} vertices exceeds Python's "
+                          f"recursion limit ({sys.getrecursionlimit()})") from None
 
 
 # ----------------------------------------------------------------------
@@ -148,15 +156,14 @@ def beta_subset_formula(graph):
     (-1)^(n + |B| - k(B)) where k counts components of (V, B)."""
     if len(graph) == 0:
         raise GraphError("beta is defined for nonempty graphs")
-    edges = graph.edges
+    # edges as position pairs, in the order of ``graph.edges``
+    edges = [(p, q) for p, mask in enumerate(graph.dense_form()) for q in _bits(mask) if q > p]
     m = len(edges)
     if m > SUBSET_EDGE_CAP:
         raise BudgetError(f"subset formula capped at {SUBSET_EDGE_CAP} edges, got {m}")
-    verts = graph.vertices
-    n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
+    n = len(graph)
     full = (1 << n) - 1
-    emask = [(1 << pos[u]) | (1 << pos[v]) for u, v in edges]
+    emask = [(1 << u) | (1 << v) for u, v in edges]
     # vertices coverable by the remaining edge suffix
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -182,7 +189,7 @@ def beta_subset_formula(graph):
             return
         walk(i + 1, covered, nbits, unions)
         u, v = edges[i]
-        ra, rb = find(pos[u]), find(pos[v])
+        ra, rb = find(u), find(v)
         if ra == rb:
             walk(i + 1, covered | emask[i], nbits + 1, unions)
         else:
@@ -337,15 +344,13 @@ def spanning_forest_count(tree):
     """Number of edge subsets of a tree whose edges touch every vertex
     (spanning forests).  Counted directly, independent of any beta route."""
     n = len(tree)
-    edges = tree.edges
-    if n == 0 or len(edges) != n - 1 or not tree.is_connected():
+    emask = [(1 << p) | (1 << q) for p, mask in enumerate(tree.dense_form())
+             for q in _bits(mask) if q > p]
+    if n == 0 or len(emask) != n - 1 or not tree.is_connected():
         raise GraphError("spanning_forest_count expects a tree")
-    verts = tree.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    emask = [(1 << pos[u]) | (1 << pos[v]) for u, v in edges]
     full = (1 << n) - 1
     count = 0
-    for sub in range(1 << len(edges)):
+    for sub in range(1 << len(emask)):
         covered = 0
         for i, em in enumerate(emask):
             if (sub >> i) & 1:
@@ -411,7 +416,7 @@ ROUTES = {
 def cross_check(graph, memo=None, budget=None):
     """Run every route of ``ROUTES`` as ``route(graph, budget, memo)`` (morse
     anchored at the smallest vertex) and compare; a route that raises
-    ``BudgetError`` is skipped."""
+    ``BudgetError`` is skipped, and ``BudgetError`` is raised if all are."""
     values = {}
     skipped = []
     for name, route in ROUTES.items():
@@ -419,6 +424,8 @@ def cross_check(graph, memo=None, budget=None):
             values[name] = route(graph, budget, memo)
         except BudgetError:
             skipped.append(name)
+    if not values:
+        raise BudgetError(f"every route refused the graph ({', '.join(skipped)})")
     report = CrossCheckReport(graph, values, tuple(skipped))
     if not report.agree:
         raise CrossCheckError(report)

@@ -293,11 +293,7 @@ class BooleanIdeal:
 
     def is_cover(self, lower, upper):
         """Is ``lower`` a codimension-1 face of ``upper``?"""
-        return self.covers(self.flat_id(lower), self.flat_id(upper))
-
-    def covers(self, lo, up):
-        """``is_cover`` on flat ids."""
-        return self.key_covers(self.keys[lo], self.keys[up])
+        return self.key_covers(self.keys[self.flat_id(lower)], self.keys[self.flat_id(upper)])
 
     def key_covers(self, lower, upper):
         """Cover test on any keys of this encoding: exactly one extra vertex
@@ -326,12 +322,10 @@ def _fits_every_graph(n, budget):
 def _enumerate(graph):
     if len(graph) == 0:
         raise GraphError("the boolean ideal is defined for nonempty graphs")
-    verts = graph.vertices
-    bit_of = {v: 1 << p for p, v in enumerate(verts)}
     # per letter: its bit, its neighbours' bits and the shift of its field
-    letters = {v: (bit_of[v], sum(bit_of[u] for u in graph.neighbors(v)), len(verts) * (p + 1))
-               for p, v in enumerate(verts)}
-    level = {bit_of[v]: (v,) for v in verts}
+    letters = {v: (1 << p, nbr, len(graph) * (p + 1))
+               for p, (v, nbr) in enumerate(zip(graph.vertices, graph.dense_form()))}
+    level = {bit: (v,) for v, (bit, _, _) in letters.items()}
     ranks, keys = [], []
     while level:
         order = sorted(level, key=level.__getitem__)  # by normal form
@@ -383,8 +377,7 @@ def _length_counts(comp, limit):
     is filled in before S.
     """
     m = len(comp)
-    local = comp.relabel({v: i for i, v in enumerate(comp.vertices)})
-    nbr = {1 << i: local.neighbor_mask(i) for i in range(m)}
+    nbr = {1 << p: mask for p, mask in enumerate(comp.dense_form())}
     a = [1] * (1 << m)
     counts = [1] + [0] * m
     running = 0

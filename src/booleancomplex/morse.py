@@ -124,7 +124,7 @@ def _word(key, m):
 
 def _build(g, v, build):
     """One construction step on the keys of g's ideal: lower and upper keys of
-    the pairs, the unmatched rank-0 key and the sorted unmatched maximal keys."""
+    the pairs, the unmatched rank-0 key and the unmatched maximal keys, unsorted."""
     keys, build.keys = build.keys, None
     if g.degree(v):
         lower, upper = _build_along_edge(g, v, keys, build)
@@ -138,9 +138,9 @@ def _build(g, v, build):
     unmatched = [k for k in keys if k not in matched]
     rank0 = [k for k in unmatched if k.bit_count() == 1]
     assert len(rank0) == 1, "exactly one rank-0 element stays unmatched"
-    top = sorted(k for k in unmatched if (k & (1 << build.m) - 1).bit_count() == len(g))
+    top = tuple(k for k in unmatched if (k & (1 << build.m) - 1).bit_count() == len(g))
     assert len(top) + 1 == len(unmatched), "middle ranks must be fully matched"
-    return lower, upper, rank0[0], tuple(top)
+    return lower, upper, rank0[0], top
 
 
 def _build_edgeless(g, v, build):
@@ -217,7 +217,7 @@ def _pair_ids(matching, ideal):
     pairs = []
     for lo, up in matching.pairs:
         i, j = ideal.flat_id(lo), ideal.flat_id(up)
-        if not ideal.covers(i, j):
+        if not ideal.key_covers(ideal.keys[i], ideal.keys[j]):
             raise GraphError(f"pair ({format_word(lo)}, {format_word(up)}) is not a cover")
         pairs.append((i, j))
     return pairs

@@ -53,6 +53,14 @@ def test_recursion_rejects_empty():
         beta_recursive(Graph())
 
 
+def test_recursion_refuses_past_the_interpreter_recursion_limit():
+    memo = {}
+    with pytest.raises(BudgetError, match="recursion limit"):
+        beta_recursive(complete_graph(60), memo)
+    # entries are written only once their value is known, so the memo stays exact
+    assert beta_recursive(complete_graph(12), memo).value == beta_complete(12)
+
+
 def test_recursion_counts_calls():
     r = beta_recursive(path_graph(4))
     assert r.method == "recursion" and r.calls >= 3
@@ -182,6 +190,8 @@ def test_euler_examples():
     assert beta_euler(Graph(edges=[(1, 2)])).value == 1
     assert beta_euler(complete_graph(3)).value == 2
     assert beta_euler(edgeless_graph(2)).value == 0
+    with pytest.raises(GraphError):
+        beta_euler(Graph())
 
 
 def test_euler_budget_propagates():
@@ -202,6 +212,8 @@ def test_subset_formula_examples():
     assert beta_subset_formula(Graph(edges=[(1, 2)])).value == 1
     assert beta_subset_formula(path_graph(4)).value == 2  # {e1 e2 e3}, {e1 e3}
     assert beta_subset_formula(Graph(edges=[(0, 1)], vertices=[2])).value == 0
+    with pytest.raises(GraphError):
+        beta_subset_formula(Graph())
 
 
 def test_subset_formula_edge_cap():
@@ -265,10 +277,14 @@ def test_family_closed_form_rejects_bad_specs():
 def test_cycle_count_closed_form():
     for n in range(1, 12):
         assert cycle_count(n) == lucas(n + 1) - 2
+    with pytest.raises(GraphError):
+        cycle_count(0)
 
 
 def test_fibonacci_convention():
     assert [fibonacci(k) for k in range(7)] == [0, 1, 1, 2, 3, 5, 8]
+    with pytest.raises(GraphError):
+        fibonacci(-1)
 
 
 # ----------------------------------------------------------------------
@@ -285,10 +301,13 @@ def test_spanning_forest_examples():
 
 
 def test_beta_of_trees_counts_spanning_forests():
-    rng = random.Random(67)
+    rng, labels = random.Random(67), random.Random(71)
     for _ in range(40):
         t = random_tree(rng, rng.randint(2, 12))
-        assert beta(t) == spanning_forest_count(t)
+        # the same tree on scattered labels up to 63
+        scattered = t.relabel(dict(zip(t.vertices, labels.sample(range(64), len(t)))))
+        for g in (t, scattered):
+            assert beta(g) == spanning_forest_count(g)
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +408,8 @@ def test_cross_check_skips_over_budget_methods():
     report = cross_check(complete_graph(7), budget=100)  # 13,699 elements
     assert report.skipped == ("euler", "homology", "morse")
     assert report.values == {"recursion": 1854, "subset_formula": 1854}
+    with pytest.raises(BudgetError, match="every route refused"):
+        cross_check(complete_graph(50))
 
 
 def test_five_routes_agree_past_seven_vertices():

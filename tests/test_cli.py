@@ -154,6 +154,15 @@ def test_budget_binds_every_enumerating_command(capsys):
         assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_recursion_past_the_interpreter_limit_is_a_budget_exit(capsys):
+    # K64's recursion runs deeper than Python allows, and every other route
+    # refuses K64 too, so crosscheck has nothing left to report
+    for argv in (["beta", "--method", "recursion"], ["crosscheck"]):
+        assert run(argv + ["--family", "K:64"]) == EXIT_BUDGET, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("budget exceeded") and captured.out == ""
+
+
 def test_counting_commands_never_enumerate(capsys):
     before = ideal_module._enumerate.cache_info()
     for argv in (["chi", "--family", "cycle:9"], ["enumerate", "--family", "D:9"]):
