@@ -4,6 +4,14 @@ Subcommands: beta, chi, enumerate, matching, homology, family, crosscheck.
 Graphs come from --family NAME:n, --edges "u v"-lines, or --file PATH; output
 is human text or, with --json, a stable schema (field "schema").
 
+Every subcommand with an input graph takes one path.  ``run`` calls
+``_compute``, which loads the graph and starts the JSON fields and the text
+lines with it; the subcommand's ``_cmd_*`` function, given the graph and its
+label mapping, returns only its own fields and lines; ``_emit`` puts
+"command" first and prints the JSON or the lines.  ``family`` and
+``crosscheck --sweep`` build their own graphs and return all their fields and
+lines, and a cross-check mismatch is emitted with the graph of its report.
+
 Exit codes: 0 ok, 1 output pipe closed early, 2 unparseable input, 3 budget
 exceeded, 4 cross-check mismatch.
 """
@@ -136,26 +144,16 @@ def _matching_json(matching):
     }
 
 
-def _emit(args, payload, lines):
+def _emit(args, fields, lines):
     if args.json:
-        payload["schema"] = SCHEMA_VERSION
+        payload = {"command": args.command, **fields, "schema": SCHEMA_VERSION}
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
             print(line)
 
 
-def _describe_graph(graph, mapping):
-    lines = [f"graph: {len(graph)} vertices, {len(graph.edges)} edges"]
-    if mapping:
-        lines.append(
-            "label mapping: " + " ".join(f"{v}<-{x}" for v, x in mapping.items())
-        )
-    return lines
-
-
-def _cmd_beta(args):
-    graph, mapping = _load_graph(args)
+def _cmd_beta(args, graph, mapping):
     names = []
     for raw in args.method.split(","):
         name = raw.strip()
@@ -163,53 +161,33 @@ def _cmd_beta(args):
             raise GraphError(f"unknown method {raw!r}")
         names.append(name)
     values = {name: ROUTES[name](graph, args.budget, None) for name in names}
-    lines = _describe_graph(graph, mapping)
-    lines += [f"beta[{name}] = {value}" for name, value in values.items()]
-    _emit(args, {"command": "beta", "graph": _graph_json(graph), "beta": values}, lines)
-    return EXIT_OK
+    return {"beta": values}, [f"beta[{name}] = {value}" for name, value in values.items()]
 
 
-def _cmd_chi(args):
-    graph, mapping = _load_graph(args)
+def _cmd_chi(args, graph, mapping):
     chi = euler_characteristic(graph, args.budget)
     implied = (-1) ** (len(graph) - 1) * (chi - 1)
-    lines = _describe_graph(graph, mapping)
-    lines += [f"chi = {chi}", f"implied sphere count = {implied}"]
-    _emit(
-        args,
-        {"command": "chi", "graph": _graph_json(graph), "chi": chi, "beta": implied},
-        lines,
-    )
-    return EXIT_OK
+    return {"chi": chi, "beta": implied}, [f"chi = {chi}", f"implied sphere count = {implied}"]
 
 
-def _cmd_enumerate(args):
-    graph, mapping = _load_graph(args)
+def _cmd_enumerate(args, graph, mapping):
     if args.words:
         ideal = enumerate_ideal(graph, args.budget)
         sizes = ideal.rank_sizes()
     else:
         sizes = rank_sizes(graph, args.budget)
-    lines = _describe_graph(graph, mapping)
-    lines.append("rank sizes: " + " ".join(map(str, sizes)))
-    payload = {
-        "command": "enumerate",
-        "graph": _graph_json(graph),
+    fields = {
         "rank_sizes": list(sizes),
         "euler_characteristic": sum((-1) ** r * f for r, f in enumerate(sizes)),
     }
+    lines = ["rank sizes: " + " ".join(map(str, sizes))]
     if args.words:
-        payload["ranks"] = [
-            [format_word(w) for w in words] for words in ideal.ranks
-        ]
-        for r, words in enumerate(ideal.ranks):
-            lines.append(f"rank {r}: " + " ".join(format_word(w) for w in words))
-    _emit(args, payload, lines)
-    return EXIT_OK
+        fields["ranks"] = [[format_word(w) for w in words] for words in ideal.ranks]
+        lines += [f"rank {r}: " + " ".join(words) for r, words in enumerate(fields["ranks"])]
+    return fields, lines
 
 
-def _cmd_matching(args):
-    graph, mapping = _load_graph(args)
+def _cmd_matching(args, graph, mapping):
     anchor = graph.vertices[0]
     if args.at_vertex is not None:
         # --at-vertex names an input label, like the mapping line
@@ -222,49 +200,50 @@ def _cmd_matching(args):
     ideal = enumerate_ideal(graph, args.budget)
     acyclic = morse.verify_acyclic(matching, ideal)
     report = morse.verify_h_properties(matching, ideal)
-    lines = _describe_graph(graph, mapping)
-    lines += [
+    words = _matching_json(matching)
+    lines = [
         f"anchored at {anchor}: {len(matching.pairs)} pairs",
-        f"unmatched rank 0: {format_word(matching.unmatched_rank0)}",
-        "unmatched maximal: "
-        + (" ".join(format_word(w) for w in matching.unmatched_maximal) or "(none)"),
+        f"unmatched rank 0: {words['unmatched_rank0']}",
+        "unmatched maximal: " + (" ".join(words["unmatched_maximal"]) or "(none)"),
         f"acyclic: {acyclic}; h1: {report.h1}; h2: {report.h2}; h3: {report.h3}",
     ]
-    payload = {
-        "command": "matching",
-        "graph": _graph_json(graph),
-        "matching": _matching_json(matching),
-        "acyclic": acyclic,
-        "h1": report.h1,
-        "h2": report.h2,
-        "h3": report.h3,
-    }
-    _emit(args, payload, lines)
-    return EXIT_OK
+    fields = {"matching": words, "acyclic": acyclic, "h1": report.h1, "h2": report.h2,
+              "h3": report.h3}
+    return fields, lines
 
 
-def _cmd_homology(args):
-    graph, mapping = _load_graph(args)
+def _cmd_homology(args, graph, mapping):
     betti = homology.betti_gf2(graph, args.budget)
-    lines = _describe_graph(graph, mapping)
-    lines.append("reduced Betti numbers: " + " ".join(map(str, betti)))
-    payload = {
-        "command": "homology",
-        "graph": _graph_json(graph),
-        "betti": list(betti),
-    }
+    fields = {"betti": list(betti)}
+    lines = ["reduced Betti numbers: " + " ".join(map(str, betti))]
     if args.cycles:
         basis = homology.top_cycle_basis(graph, args.budget)
-        payload["top_cycles"] = [[format_word(w) for w in c.words()] for c in basis]
-        for i, chain in enumerate(basis):
-            lines.append(
-                f"cycle {i}: " + " + ".join(f"[{format_word(w)}]" for w in chain.words())
-            )
-    _emit(args, payload, lines)
-    return EXIT_OK
+        fields["top_cycles"] = [[format_word(w) for w in c.words()] for c in basis]
+        lines += [f"cycle {i}: " + " + ".join(f"[{w}]" for w in words)
+                  for i, words in enumerate(fields["top_cycles"])]
+    return fields, lines
 
 
-def _cmd_family(args):
+def _cmd_crosscheck(args, graph, mapping):
+    report = cross_check(graph, budget=args.budget)
+    lines = [f"beta[{name}] = {value}" for name, value in report.values.items()]
+    if report.skipped:
+        lines.append("skipped (over budget): " + ", ".join(report.skipped))
+    lines.append("all methods agree")
+    return {"values": report.values, "skipped": list(report.skipped), "agree": True}, lines
+
+
+_GRAPH_COMMANDS = {
+    "beta": _cmd_beta,
+    "chi": _cmd_chi,
+    "enumerate": _cmd_enumerate,
+    "matching": _cmd_matching,
+    "homology": _cmd_homology,
+    "crosscheck": _cmd_crosscheck,
+}
+
+
+def _family(args):
     name, n = resolve_family(args.family)
     row = FAMILIES[name]
     graph = row.build(n)
@@ -276,91 +255,58 @@ def _cmd_family(args):
         f"edges: {graph.edges}",
         f"closed-form sphere count: {count}  ({wedge})",
     ]
-    payload = {
-        "command": "family",
+    fields = {
         "family": name,
         "n": n,
         "graph": _graph_json(graph),
         "beta": count,
         "sphere_dimension": dim,
     }
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return fields, lines
 
 
-def _cmd_crosscheck(args):
-    if args.sweep is not None:
-        if any(src is not None for src in (args.family, args.edges, args.file)):
-            raise GraphError("--sweep N checks its own graphs; drop --family / --edges / --file")
-        if not 1 <= args.sweep <= 6:
-            raise GraphError(f"--sweep N is exhaustive; N must be 1 to 6, got {args.sweep}")
-        memo = {}
-        rows = [cross_check(g, memo=memo, budget=args.budget)
-                for g in isomorphism_classes(args.sweep)]
-        skipped = [name for name in ROUTES if any(name in r.skipped for r in rows)]
-        lines = ["skipped (over budget): " + ", ".join(skipped)] if skipped else []
-        lines.append(f"{len(rows)} isomorphism classes checked, all methods agree")
-        payload = {
-            "command": "crosscheck",
-            "sweep": args.sweep,
-            "classes": len(rows),
-            "skipped": skipped,
-            "agree": True,
-        }
-        _emit(args, payload, lines)
-        return EXIT_OK
+def _sweep(args):
+    if any(src is not None for src in (args.family, args.edges, args.file)):
+        raise GraphError("--sweep N checks its own graphs; drop --family / --edges / --file")
+    if not 1 <= args.sweep <= 6:
+        raise GraphError(f"--sweep N is exhaustive; N must be 1 to 6, got {args.sweep}")
+    memo = {}
+    rows = [cross_check(g, memo=memo, budget=args.budget)
+            for g in isomorphism_classes(args.sweep)]
+    skipped = [name for name in ROUTES if any(name in r.skipped for r in rows)]
+    lines = ["skipped (over budget): " + ", ".join(skipped)] if skipped else []
+    lines.append(f"{len(rows)} isomorphism classes checked, all methods agree")
+    return {"sweep": args.sweep, "classes": len(rows), "skipped": skipped, "agree": True}, lines
 
+
+def _compute(args):
+    """The JSON fields after "command", and the text lines, of one run."""
+    if args.command == "family":
+        return _family(args)
+    if args.budget is not None and args.budget < 0:
+        raise GraphError(f"--budget must be at least 0, got {args.budget}")
+    if args.command == "crosscheck" and args.sweep is not None:
+        return _sweep(args)
     graph, mapping = _load_graph(args)
-    report = cross_check(graph, budget=args.budget)
-    lines = _describe_graph(graph, mapping)
-    lines += [f"beta[{name}] = {value}" for name, value in report.values.items()]
-    if report.skipped:
-        lines.append("skipped (over budget): " + ", ".join(report.skipped))
-    lines.append("all methods agree")
-    payload = {
-        "command": "crosscheck",
-        "graph": _graph_json(graph),
-        "values": report.values,
-        "skipped": list(report.skipped),
-        "agree": True,
-    }
-    _emit(args, payload, lines)
-    return EXIT_OK
-
-
-def _emit_mismatch(args, exc):
-    report = exc.report
-    payload = {
-        "command": "crosscheck",
-        "graph": _graph_json(report.graph),
-        "values": report.values,
-        "agree": False,
-    }
-    lines = [f"METHOD MISMATCH on {report.graph!r}: {report.values}"]
-    _emit(args, payload, lines)
-
-
-_COMMANDS = {
-    "beta": _cmd_beta,
-    "chi": _cmd_chi,
-    "enumerate": _cmd_enumerate,
-    "matching": _cmd_matching,
-    "homology": _cmd_homology,
-    "family": _cmd_family,
-    "crosscheck": _cmd_crosscheck,
-}
+    lines = [f"graph: {len(graph)} vertices, {len(graph.edges)} edges"]
+    if mapping:
+        lines.append("label mapping: " + " ".join(f"{v}<-{x}" for v, x in mapping.items()))
+    fields, more = _GRAPH_COMMANDS[args.command](args, graph, mapping)
+    return {"graph": _graph_json(graph), **fields}, lines + more
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _emit(args, *_compute(args))
+        return EXIT_OK
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CrossCheckError as exc:
-        _emit_mismatch(args, exc)
+        report = exc.report
+        fields = {"graph": _graph_json(report.graph), "values": report.values, "agree": False}
+        _emit(args, fields, [f"METHOD MISMATCH on {report.graph!r}: {report.values}"])
         return EXIT_MISMATCH
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -201,7 +201,10 @@ class Graph:
 
     def relabel(self, mapping):
         """New graph with vertex ``v`` renamed ``mapping[v]`` (a bijection)."""
-        old = {self._check_label(mapping[v]): v for v in self._adj}
+        try:
+            old = {self._check_label(mapping[v]): v for v in self._adj}
+        except KeyError as exc:
+            raise GraphError(f"relabel mapping has no image for vertex {exc.args[0]}") from None
         if len(old) != len(self):
             raise GraphError("relabel mapping is not injective")
         return Graph._from_adj({

@@ -262,6 +262,20 @@ def test_crosscheck_sweep_out_of_range_is_parse_error(capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_negative_budget_is_parse_error(capsys):
+    # a negative budget would refuse every ideal, so it is bad input; 0 is a
+    # budget, which the counting routes refuse and the recursion never reads
+    for argv in (["chi", "--family", "A:3"], ["beta", "--family", "A:3"],
+                 ["crosscheck", "--sweep", "3"]):
+        assert run(argv + ["--budget", "-1"]) == EXIT_PARSE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --budget must be at least 0, got -1\n", argv
+    assert run(["beta", "--family", "A:3", "--budget", "0"]) == EXIT_OK
+    assert run(["chi", "--family", "A:3", "--budget", "0"]) == EXIT_BUDGET
+    capsys.readouterr()
+
+
 def test_crosscheck_sweep_with_a_graph_source_is_parse_error(capsys):
     for source in (["--family", "A:3"], ["--edges", K3_EDGES], ["--file", "absent.txt"]):
         assert run(["crosscheck", "--sweep", "3"] + source) == EXIT_PARSE, source

@@ -58,6 +58,8 @@ def test_rejects_bad_input():
         path_graph(3).degree(9)
     with pytest.raises(GraphError, match="not injective"):
         path_graph(3).relabel({0: 5, 1: 5, 2: 6})
+    with pytest.raises(GraphError, match="no image for vertex 2"):
+        path_graph(3).relabel({0: 5, 1: 6})
     with pytest.raises(InvalidEdgeError):
         path_graph(3).add_edge((1, 1))
     with pytest.raises(UnknownVertexError):
