@@ -6,9 +6,10 @@ graph G is homotopy equivalent to a wedge of beta(G) spheres of dimension
 
 * the edge recursion  beta(G) = beta(G-e) + beta(G/e) + beta(G-[e])
   (delete / simply contract / extract), with beta(A2) = 1, beta of any graph
-  with an isolated vertex = 0, and multiplicativity over components; each
-  connected subproblem is memoised by dense form, then by canonical key among
-  the graphs that share its degree sequence;
+  with an isolated vertex = 0, and multiplicativity over components; it runs
+  on dense forms, renumbering the graph once, and memoises each connected
+  subproblem by its form, then by canonical key (taken through ``Graph``)
+  among the forms that share its degree sequence;
 * the Euler characteristic,  beta(G) = (-1)^(n-1) (chi - 1), with chi
   counted from acyclic orientations rather than enumerated;
 * the covering-edge-subset sum  sum_{B <= E, V(B) = V} (-1)^(n + |B| - k(B));
@@ -33,6 +34,10 @@ from .graph import (
     Graph,
     GraphError,
     _bits,
+    _form_components,
+    _form_contract,
+    _form_delete,
+    _form_extract,
     complete_graph,
     cycle_graph,
     double_fork_graph,
@@ -59,30 +64,34 @@ class BetaResult:
 # ----------------------------------------------------------------------
 # the edge recursion
 
-def _pick_edge(graph):
-    """Edge choice heuristic: an edge at a leaf collapses the recursion to
-    two branches (deletion leaves an isolated vertex); otherwise favour a
+def _pick_edge(form):
+    """Edge choice heuristic on a dense form with no isolated vertex, as a
+    position pair p < q: an edge at a leaf collapses the recursion to two
+    branches (deletion leaves an isolated vertex); otherwise favour a
     minimum-degree endpoint, which helps G - e fall apart."""
     best = None
-    for v in graph.vertices:
-        d = graph.degree(v)
+    for v, m in enumerate(form):
+        d = m.bit_count()
         if d == 1:
-            return (v, graph.neighbors(v)[0])
-        if d > 0 and (best is None or d < best[0]):
+            u = m.bit_length() - 1
+            return (min(u, v), max(u, v))
+        if best is None or d < best[0]:
             best = (d, v)
     v = best[1]
-    u = min(graph.neighbors(v), key=graph.degree)
+    u = min(_bits(form[v]), key=lambda w: form[w].bit_count())
     return (min(u, v), max(u, v))
 
 
 def beta_recursive(graph, memo=None):
     """Sphere count by the deletion / contraction / extraction recursion.
 
-    The value depends only on the unlabeled graph, so every connected
-    subproblem of three or more vertices is memoised by isomorphism class, at
-    every size: first by dense form, then, since isomorphic graphs share a
-    degree sequence, by canonical key among the graphs that share one.  A
-    graph first with its sequence is not keyed until a second one arrives.
+    The recursion runs on dense forms, renumbering the graph once: each
+    surgery hands its child the child's form.  The value depends only on the
+    unlabeled graph, so every connected subproblem of three or more vertices
+    is memoised by isomorphism class, at every size: first by dense form,
+    then, since isomorphic graphs share a degree sequence, by canonical key
+    (of the form as a ``Graph``) among the forms that share one.  A form
+    first with its sequence is not keyed until a second one arrives.
     ``memo`` may be a dict shared across calls, so relabelled repeats are free.
     It takes a value only once known, so it stays exact when the recursion
     passes Python's recursion limit and raises ``BudgetError``.
@@ -93,21 +102,22 @@ def beta_recursive(graph, memo=None):
         memo = {}
     calls = 0
 
-    def rec(g):
+    def key_of(form):
+        return Graph._from_adj(dict(enumerate(form))).canonical_key()
+
+    def rec(form):
         nonlocal calls
         calls += 1
-        n = len(g)
-        if g.has_isolated_vertex():
-            return 0
-        comps = g.components()
+        if not all(form):
+            return 0  # an isolated vertex
+        comps = _form_components(form)
         if len(comps) > 1:
             return math.prod(rec(c) for c in comps)
-        if n == 2:
+        if len(form) == 2:
             return 1  # connected two-vertex graph is A2
-        form = g.dense_form()
         if form in memo:
             return memo[form]
-        # an isomorphic graph shares the degree sequence, so only a graph
+        # an isomorphic graph shares the degree sequence, so only a form
         # whose sequence was met before needs a canonical key; the entry sits
         # under bytes, which no form (a tuple) equals
         keyed, unkeyed = memo.setdefault(
@@ -115,23 +125,24 @@ def beta_recursive(graph, memo=None):
         key = None
         if keyed or unkeyed:
             for h, v in unkeyed:
-                keyed[h.canonical_key()] = v
+                keyed[key_of(h)] = v
             unkeyed.clear()
-            key = g.canonical_key()
+            key = key_of(form)
             if key in keyed:
                 memo[form] = keyed[key]
                 return keyed[key]
-        e = _pick_edge(g)
-        value = rec(g.delete_edge(e)) + rec(g.contract_edge(e)) + rec(g.extract_edge(e))
+        p, q = _pick_edge(form)
+        value = (rec(_form_delete(form, p, q)) + rec(_form_contract(form, p, q))
+                 + rec(_form_extract(form, p, q)))
         if key is None:
-            unkeyed.append((g, value))
+            unkeyed.append((form, value))
         else:
             keyed[key] = value
         memo[form] = value
         return value
 
     try:
-        return BetaResult(rec(graph), "recursion", calls)
+        return BetaResult(rec(graph.dense_form()), "recursion", calls)
     except RecursionError:
         raise BudgetError(f"edge recursion on {len(graph)} vertices exceeds Python's "
                           f"recursion limit ({sys.getrecursionlimit()})") from None

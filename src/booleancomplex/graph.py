@@ -11,7 +11,8 @@ machinery downstream relies on.
 The module also has the plain constructors behind the named families (paths,
 forked paths, double forks, T-shapes, cycles, complete graphs, stars,
 edgeless graphs; the family table itself is in ``beta``), dense forms for
-order-preserving copies and exact canonical keys for isomorphism classes
+order-preserving copies, with the edge surgeries and components on them that
+the edge recursion runs, exact canonical keys for isomorphism classes
 (paths and cycles keyed by walking them, every other graph by a refinement
 search), one representative per isomorphism class for exhaustive sweeps, and
 a plain text edge-list parser.
@@ -217,22 +218,9 @@ class Graph:
 
     def components(self):
         """Maximal connected subgraphs, ordered by smallest vertex label."""
-        out = []
-        seen = 0
-        for v in self._adj:
-            if (seen >> v) & 1:
-                continue
-            comp = frontier = 1 << v
-            while frontier:
-                grown = 0
-                for w in _bits(frontier):
-                    grown |= self._adj[w]
-                frontier = grown & ~comp
-                comp |= frontier
-            seen |= comp
-            # a component is closed under adjacency, so its masks stand as they are
-            out.append(Graph._from_adj({w: self._adj[w] for w in _bits(comp)}))
-        return out
+        # a component is closed under adjacency, so its masks stand as they are
+        return [Graph._from_adj({w: self._adj[w] for w in _bits(comp)})
+                for comp in _components(self._adj, sum(1 << v for v in self._adj))]
 
     def is_connected(self):
         return len(self) <= 1 or len(self.components()) == 1
@@ -244,8 +232,11 @@ class Graph:
         """The neighbour masks with the vertices renamed 0..n-1 in ascending
         label order: equal for two graphs iff an order-preserving bijection
         maps one onto the other."""
-        pos = {v: i for i, v in enumerate(self._adj)}
-        return tuple(sum(1 << pos[w] for w in _bits(m)) for m in self._adj.values())
+        adj = self._adj
+        # ascending distinct labels end at n - 1 exactly when they are 0..n-1
+        if not adj or next(reversed(adj)) == len(adj) - 1:
+            return tuple(adj.values())
+        return _renumber(adj, sum(1 << v for v in adj))
 
     def canonical_key(self):
         """Byte string equal for two graphs iff they are isomorphic.
@@ -333,6 +324,67 @@ class Graph:
 
         search(refine([len(nbrs[i]) for i in range(n)]))
         return bytes([n]) + best.to_bytes(nbytes, "big")
+
+
+# ----------------------------------------------------------------------
+# dense forms: neighbour masks over positions 0..n-1, as Graph.dense_form()
+# gives them; the surgeries below equal the Graph surgeries' dense forms
+
+def _components(adj, rest):
+    """Split the vertex mask ``rest``, which no edge leaves, into the vertex
+    masks of its components, least vertex first; ``adj[v]`` is the neighbour
+    mask of vertex ``v`` (a dict by label or a dense form by position)."""
+    out = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grown = 0
+            for w in _bits(frontier):
+                grown |= adj[w]
+            frontier = grown & ~comp
+            comp |= frontier
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def _renumber(adj, keep):
+    """The neighbour masks of the vertices in ``keep``, which no edge leaves,
+    renamed 0..k-1 in ascending order."""
+    pos = {v: i for i, v in enumerate(_bits(keep))}
+    return tuple(sum(1 << pos[w] for w in _bits(adj[v])) for v in pos)
+
+
+def _form_components(form):
+    """The dense forms of the components, least position first."""
+    comps = _components(form, (1 << len(form)) - 1)
+    return [form] if len(comps) == 1 else [_renumber(form, c) for c in comps]
+
+
+def _form_delete(form, p, q):
+    """Delete the edge between positions p and q."""
+    out = list(form)
+    out[p] ^= 1 << q
+    out[q] ^= 1 << p
+    return tuple(out)
+
+
+def _form_contract(form, p, q):
+    """Simply contract the edge between positions p < q into p."""
+    bp, low = 1 << p, (1 << q) - 1
+    out = [m | bp if (m >> q) & 1 else m for m in form]
+    out[p] = (form[p] | form[q]) & ~bp
+    del out[q]
+    # squeeze position q out: the bits above it move down by one
+    return tuple((m & low) | ((m >> 1) & ~low) for m in out)
+
+
+def _form_extract(form, p, q):
+    """Remove positions p < q, and so every edge at them."""
+    low, mid = (1 << p) - 1, (1 << (q - 1)) - 1
+    # the bits between p and q move down by one, those above q by two
+    return tuple((m & low) | ((m >> 1) & mid & ~low) | ((m >> 2) & ~mid)
+                 for m in form[:p] + form[p + 1:q] + form[q + 1:])
 
 
 # ----------------------------------------------------------------------

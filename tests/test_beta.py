@@ -1,5 +1,6 @@
 """Sphere counts: the four routes, family closed forms, and their laws."""
 
+import hashlib
 import math
 import random
 
@@ -87,6 +88,23 @@ def test_shared_memo_is_exact_across_relabellings():
             labels = rng.sample(range(64), len(g))
             copy = g.relabel(dict(zip(g.vertices, labels)))
             assert beta_recursive(copy, memo).value == want
+
+
+def test_recursion_outputs_are_pinned_on_six_vertices():
+    # value and calls of every run, and every form entry of the shared memo,
+    # over each class on up to six vertices and two relabelled copies of it
+    memo = {}
+    rng = random.Random(67)
+    runs = []
+    for g in iso_classes(6):
+        for h in [g] + [g.relabel(dict(zip(g.vertices, rng.sample(range(64), len(g)))))
+                        for _ in range(2)]:
+            r = beta_recursive(h, memo)
+            runs.append((r.value, r.calls))
+    forms = sorted((k, v) for k, v in memo.items() if isinstance(k, tuple))
+    assert len(runs) == 624 and len(forms) == 517
+    assert hashlib.sha256(repr((runs, forms)).encode()).hexdigest() == (
+        "0487d8a793c994f309299fb5103306bdec8070519c34babd2fc2ff134d2bdec7")
 
 
 def test_recursion_keys_only_on_a_shared_degree_sequence(monkeypatch):
@@ -180,7 +198,7 @@ def test_recursion_choice_independent():
 
 def test_pick_edge_prefers_leaves():
     g = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])  # triangle with a tail
-    assert set(_pick_edge(g)) == {2, 3}
+    assert set(_pick_edge(g.dense_form())) == {2, 3}
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,12 @@ from booleancomplex import (
     star_graph,
 )
 from booleancomplex.beta import resolve_family
+from booleancomplex.graph import (
+    _form_components,
+    _form_contract,
+    _form_delete,
+    _form_extract,
+)
 from helpers import (
     all_labeled_graphs,
     iso_classes,
@@ -222,6 +228,40 @@ def test_dense_form_is_equal_exactly_under_order_preserving_relabels():
     middle_last = Graph(edges=[(0, 2), (2, 1)])  # the path 0-2-1
     assert middle_last.canonical_key() == path.canonical_key()
     assert middle_last.dense_form() != path.dense_form()
+
+
+def renumbered(graph):
+    """The dense form by its definition: vertices renamed 0..n-1 in order."""
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    return tuple(sum(1 << pos[w] for w in graph.neighbors(v)) for v in graph.vertices)
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(edges=[(0, 1), (1, 2)]),                      # labels 0..n-1
+    Graph(edges=[(0, 3), (1, 3)], vertices=[0, 1, 3]),  # a gap at the top
+    Graph(edges=[(2, 3)]),                              # a gap at the bottom
+    Graph(vertices=[5]),                                # one vertex
+    Graph(),                                            # no vertex
+])
+def test_dense_form_edge_cases(graph):
+    assert graph.dense_form() == renumbered(graph)
+
+
+def test_form_surgeries_equal_the_graph_surgeries():
+    # every class on up to six vertices under a seeded map onto labels up to 63,
+    # so the positions of an edge differ from its labels
+    rng = random.Random(71)
+    for g in iso_classes(6):
+        g = g.relabel(dict(zip(g.vertices, rng.sample(range(64), len(g)))))
+        form = g.dense_form()
+        assert form == renumbered(g)
+        assert _form_components(form) == [c.dense_form() for c in g.components()]
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        for e in g.edges:
+            p, q = pos[e[0]], pos[e[1]]
+            assert _form_delete(form, p, q) == g.delete_edge(e).dense_form()
+            assert _form_contract(form, p, q) == g.contract_edge(e).dense_form()
+            assert _form_extract(form, p, q) == g.extract_edge(e).dense_form()
 
 
 def test_canonical_key_invariant_under_relabeling():
