@@ -86,13 +86,16 @@ def beta_recursive(graph, memo=None):
     """Sphere count by the deletion / contraction / extraction recursion.
 
     The recursion runs on dense forms, renumbering the graph once: each
-    surgery hands its child the child's form.  The value depends only on the
-    unlabeled graph, so every connected subproblem of three or more vertices
-    is memoised by isomorphism class, at every size: first by dense form,
-    then, since isomorphic graphs share a degree sequence, by canonical key
-    (of the form as a ``Graph``) among the forms that share one.  A form
-    first with its sequence is not keyed until a second one arrives.
-    ``memo`` may be a dict shared across calls, so relabelled repeats are free.
+    surgery hands its child the child's form, and only the graph itself and
+    the deletion and extraction children are split into components, since a
+    contraction or a component of a connected graph is connected.  The value
+    depends only on the unlabeled graph, so every connected subproblem of
+    three or more vertices is memoised by isomorphism class, at every size:
+    first by dense form, then, since isomorphic graphs share a degree
+    sequence, by canonical key (of the form as a ``Graph``) among the forms
+    that share one.  A form first with its sequence is not keyed until a
+    second one arrives.  ``memo`` may be a dict shared across calls, so
+    relabelled repeats are free.
     It takes a value only once known, so it stays exact when the recursion
     passes Python's recursion limit and raises ``BudgetError``.
     """
@@ -105,14 +108,16 @@ def beta_recursive(graph, memo=None):
     def key_of(form):
         return Graph._from_adj(dict(enumerate(form))).canonical_key()
 
-    def rec(form):
+    def rec(form, split=True):
+        # split=False: the form is a component or a contraction, so connected
         nonlocal calls
         calls += 1
         if not all(form):
             return 0  # an isolated vertex
-        comps = _form_components(form)
-        if len(comps) > 1:
-            return math.prod(rec(c) for c in comps)
+        if split:
+            comps = _form_components(form)
+            if len(comps) > 1:
+                return math.prod(rec(c, False) for c in comps)
         if len(form) == 2:
             return 1  # connected two-vertex graph is A2
         if form in memo:
@@ -132,7 +137,7 @@ def beta_recursive(graph, memo=None):
                 memo[form] = keyed[key]
                 return keyed[key]
         p, q = _pick_edge(form)
-        value = (rec(_form_delete(form, p, q)) + rec(_form_contract(form, p, q))
+        value = (rec(_form_delete(form, p, q)) + rec(_form_contract(form, p, q), False)
                  + rec(_form_extract(form, p, q)))
         if key is None:
             unkeyed.append((form, value))

@@ -13,9 +13,10 @@ forked paths, double forks, T-shapes, cycles, complete graphs, stars,
 edgeless graphs; the family table itself is in ``beta``), dense forms for
 order-preserving copies, with the edge surgeries and components on them that
 the edge recursion runs, exact canonical keys for isomorphism classes
-(paths and cycles keyed by walking them, every other graph by a refinement
-search), one representative per isomorphism class for exhaustive sweeps, and
-a plain text edge-list parser.
+(paths and cycles keyed by walking them, every other graph by a search over
+ordered lists of cell masks on its dense form, refined by neighbour counts),
+one representative per isomorphism class for exhaustive sweeps, and a plain
+text edge-list parser.
 """
 
 from __future__ import annotations
@@ -241,89 +242,125 @@ class Graph:
     def canonical_key(self):
         """Byte string equal for two graphs iff they are isomorphic.
 
-        The key is the vertex count and an adjacency bit string under some
-        ordering.  A connected graph of maximum degree at most 2 (a path or a
-        cycle) is ordered by walking it, from an end if it has one; every
-        such walk gives the same string.  Every other graph takes the
-        lexicographically least string the search visits: orderings are
-        restricted to those compatible with iterated neighbourhood refinement
-        (seeded by degrees), extended by individualisation inside the first
-        non-singleton cell, with twin vertices pruned.  Both orderings are
-        isomorphism-invariant choices and the bit string determines the
-        adjacency matrix, so equality of keys is exactly isomorphism.
+        The key is the vertex count and then the n-by-n adjacency matrix
+        under some vertex order, row by row.  A connected graph of maximum
+        degree at most 2 (a path or a cycle) is ordered by walking it, from
+        an end if it has one; every such walk gives the same matrix.  Every
+        other graph takes the least matrix among the leaves of a search over
+        ordered partitions of its vertices into cells (McKay and Piperno,
+        "Practical graph isomorphism, II", J. Symb. Comput. 2014): cells by
+        degree, in ascending order, refined until every vertex of a cell has
+        as many neighbours in each cell as the others do; then each vertex
+        of the first cell of two or more is made a cell of its own, placed
+        first, and the partition refined again, down to single vertices,
+        whose order is a leaf.  Twin vertices branch once.  Each step reads
+        only cell order and neighbour counts, never labels, so isomorphic
+        graphs reach the same leaf matrices and equality of keys is exactly
+        isomorphism.
         """
         n = len(self)
         if n == 0:
             return bytes([0])
-        adjbit = self.dense_form()
-        nbrs = [tuple(_bits(m)) for m in adjbit]
+        return bytes([n]) + _form_key(self.dense_form()).to_bytes(
+            (n * n + 7) // 8, "big")
 
-        def refine(colors):
-            ncolors = len(set(colors))
-            while True:
-                keys = [
-                    (colors[i], tuple(sorted(colors[j] for j in nbrs[i])))
-                    for i in range(n)
-                ]
-                table = {k: r for r, k in enumerate(sorted(set(keys)))}
-                colors = [table[k] for k in keys]
-                if len(table) == ncolors:
-                    return colors
-                ncolors = len(table)
 
-        def leaf_key(perm):
-            bits = 0
-            for a in range(n):
-                row = adjbit[perm[a]]
-                for b in range(a + 1, n):
-                    bits = (bits << 1) | ((row >> perm[b]) & 1)
-            return bits
+# ----------------------------------------------------------------------
+# canonical search on dense forms; a cell is the vertex mask of one part of
+# an ordered partition
 
-        nbytes = (n * (n - 1) // 2 + 7) // 8
-        if max(map(len, nbrs)) <= 2:
-            # a path (walked from an end) or a cycle: every walk along it
-            # gives the same bit string; a walk that stops short of n
-            # vertices means the graph is disconnected, so it takes the search
-            ends = [i for i in range(n) if len(nbrs[i]) < 2]
-            walk = [ends[0] if ends else 0]
-            seen = 1 << walk[0]
-            while step := adjbit[walk[-1]] & ~seen:
-                walk.append((step & -step).bit_length() - 1)
-                seen |= step & -step
-            if len(walk) == n:
-                return bytes([n]) + leaf_key(walk).to_bytes(nbytes, "big")
+def _form_key(form):
+    """The least adjacency code (``_leaf_code``) over the leaves of the cell
+    search on ``form``, or the code of its walk if it is a path or a cycle."""
+    by_degree = {}
+    for v, m in enumerate(form):
+        k = m.bit_count()
+        by_degree[k] = by_degree.get(k, 0) | (1 << v)
+    if max(by_degree) <= 2:
+        # a path (walked from an end) or a cycle: every walk along it gives
+        # the same code; a walk that stops short of every vertex means the
+        # graph is disconnected, so it takes the search
+        ends = by_degree.get(0, 0) | by_degree.get(1, 0)
+        v = (ends & -ends or 1).bit_length() - 1
+        walk = [v]
+        seen = 1 << v
+        while step := form[v] & ~seen:
+            v = step.bit_length() - 1
+            walk.append(v)
+            seen |= 1 << v
+        if len(walk) == len(form):
+            return _leaf_code(form, walk)
 
-        best = None
+    best = None
 
-        def search(colors):
-            nonlocal best
-            cells = {}
-            for i, c in enumerate(colors):
-                cells.setdefault(c, []).append(i)
-            target = None
-            for c in sorted(cells):
-                if len(cells[c]) > 1:
-                    target = cells[c]
-                    break
-            if target is None:
-                key = leaf_key(sorted(range(n), key=colors.__getitem__))
-                if best is None or key < best:
-                    best = key
-                return
-            tried = []
-            for v in target:
-                # twins branch into identical subtrees
-                if any(
-                    adjbit[v] & ~(1 << u) == adjbit[u] & ~(1 << v) for u in tried
-                ):
+    def search(cells):
+        nonlocal best
+        for i, target in enumerate(cells):
+            if target & (target - 1):
+                break
+        else:
+            code = _leaf_code(form, [c.bit_length() - 1 for c in cells])
+            if best is None or code < best:
+                best = code
+            return
+        tried = []
+        rest = target
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            # twins branch into identical subtrees
+            if any(form[v] & ~(1 << u) == form[u] & ~low for u in tried):
+                continue
+            tried.append(v)
+            search(_refine(form, cells[:i] + [low, target ^ low] + cells[i + 1:], [low]))
+
+    cells = [by_degree[k] for k in sorted(by_degree)]
+    search(_refine(form, cells, cells[:]))
+    return best
+
+
+def _refine(form, cells, stack):
+    """Split the ordered ``cells`` until each is equitable: pop a splitter
+    mask off ``stack``, part every cell by its vertices' neighbour counts in
+    the splitter, the parts in ascending count where the cell stood, and
+    push every part."""
+    n = len(form)
+    while stack and len(cells) < n:
+        s = stack.pop()
+        out = []
+        for c in cells:
+            if c & (c - 1):
+                parts = {}
+                rest = c
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    k = (form[low.bit_length() - 1] & s).bit_count()
+                    parts[k] = parts.get(k, 0) | low
+                if len(parts) > 1:
+                    split = [parts[k] for k in sorted(parts)]
+                    out += split
+                    stack += split
                     continue
-                tried.append(v)
-                split = [2 * c + (1 if (colors[i] == colors[v] and i != v) else 0)
-                         for i, c in enumerate(colors)]
-                search(refine(split))
+            out.append(c)
+        cells = out
+    return cells
 
-        search(refine([len(nbrs[i]) for i in range(n)]))
-        return bytes([n]) + best.to_bytes(nbytes, "big")
+
+def _leaf_code(form, order):
+    """The adjacency matrix of ``form`` with its vertices in ``order``, row
+    by row, as one integer (the first entry in the top bit)."""
+    n = len(form)
+    rows = 0
+    for v in order:
+        rows = (rows << n) | form[v]
+    # bit 0 of every row, so that (rows >> v) & ones is the column of v
+    ones = ((1 << n * n) - 1) // ((1 << n) - 1)
+    code = 0
+    for i, v in enumerate(order):
+        code |= ((rows >> v) & ones) << (n - 1 - i)
+    return code
 
 
 # ----------------------------------------------------------------------

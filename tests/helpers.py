@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own fast paths: commutation
 classes are grown by breadth-first adjacent swaps, adjacency-pair membership
-by scanning every representative, and isomorphism by networkx VF2.
+by scanning every representative, isomorphism by networkx VF2, and canonical
+keys by colour refinement over whole colourings.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 import networkx as nx
 
 from booleancomplex import Graph
-from booleancomplex.graph import isomorphism_classes
+from booleancomplex.graph import _bits, isomorphism_classes
 
 
 def to_networkx(graph):
@@ -104,3 +105,67 @@ def brute_admits_adjacent_pair(word, edge, graph):
         any(rep[i] == s and rep[i + 1] == t for i in range(len(rep) - 1))
         for rep in commutation_class(word, graph)
     )
+
+
+def refinement_key(graph):
+    """Byte string equal for two graphs iff they are isomorphic: the least
+    upper-triangle adjacency bit string over the leaves of a search that
+    recolours every vertex by its colour and its neighbours' colours until
+    no colour class splits (seeded by degrees), then individualises each
+    vertex of the least colour class of two or more, twins once."""
+    n = len(graph)
+    if n == 0:
+        return bytes([0])
+    adjbit = graph.dense_form()
+    nbrs = [tuple(_bits(m)) for m in adjbit]
+
+    def refine(colors):
+        ncolors = len(set(colors))
+        while True:
+            keys = [
+                (colors[i], tuple(sorted(colors[j] for j in nbrs[i])))
+                for i in range(n)
+            ]
+            table = {k: r for r, k in enumerate(sorted(set(keys)))}
+            colors = [table[k] for k in keys]
+            if len(table) == ncolors:
+                return colors
+            ncolors = len(table)
+
+    def leaf_key(perm):
+        bits = 0
+        for a in range(n):
+            row = adjbit[perm[a]]
+            for b in range(a + 1, n):
+                bits = (bits << 1) | ((row >> perm[b]) & 1)
+        return bits
+
+    best = None
+
+    def search(colors):
+        nonlocal best
+        cells = {}
+        for i, c in enumerate(colors):
+            cells.setdefault(c, []).append(i)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            key = leaf_key(sorted(range(n), key=colors.__getitem__))
+            if best is None or key < best:
+                best = key
+            return
+        tried = []
+        for v in target:
+            # twins branch into identical subtrees
+            if any(adjbit[v] & ~(1 << u) == adjbit[u] & ~(1 << v) for u in tried):
+                continue
+            tried.append(v)
+            split = [2 * c + (1 if (colors[i] == colors[v] and i != v) else 0)
+                     for i, c in enumerate(colors)]
+            search(refine(split))
+
+    search(refine([len(nbrs[i]) for i in range(n)]))
+    return bytes([n]) + best.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")

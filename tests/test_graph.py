@@ -32,6 +32,7 @@ from helpers import (
     iso_classes,
     random_graph,
     random_permutation_relabel,
+    refinement_key,
     to_networkx,
 )
 
@@ -290,6 +291,50 @@ def test_canonical_key_agrees_with_vf2_on_regular_graphs():
     assert cycle_graph(6).canonical_key() != Graph(
         edges=[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     ).canonical_key()  # C6 vs two triangles, both 2-regular
+
+
+def _spread(rng, g):
+    """g relabelled onto distinct labels drawn from 0..63."""
+    return g.relabel(dict(zip(g.vertices, rng.sample(range(64), len(g)))))
+
+
+def _gnm(rng, n, m):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(edges=rng.sample(pairs, m), vertices=range(n))
+
+
+def test_canonical_key_equality_matches_the_refinement_oracle():
+    rng = random.Random(59)
+    pool = []
+    for g in iso_classes(6):
+        pool += [g] + [_spread(rng, g) for _ in range(3)]
+    for n in range(7, 17):
+        for m in (n - 1, n + 2, 2 * n, n * (n - 1) // 4):
+            g = _gnm(rng, n, m)
+            pool += [g, _spread(rng, g), _gnm(rng, n, m)]
+    for d, sizes in ((3, range(8, 17, 2)), (4, range(8, 17))):
+        for n in sizes:
+            for _ in range(2):
+                g = nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30))
+                g = Graph(edges=list(g.edges()))
+                pool += [g, _spread(rng, g)]
+    for k in range(3, 9):
+        # two isomorphic components, the second a relabelled copy of the first
+        h = random_graph(rng, k)
+        twice = Graph(edges=h.edges + [(u + k, v + k)
+                                       for u, v in random_permutation_relabel(rng, h).edges],
+                      vertices=range(2 * k))
+        pool += [twice, _spread(rng, twice)]
+    sparse = Graph(edges=[(3, 17), (17, 40), (40, 63), (63, 3), (17, 63), (5, 40)])
+    dense = Graph._from_adj(dict(enumerate(sparse.dense_form())))
+    assert sparse.canonical_key() == dense.canonical_key()
+    assert refinement_key(sparse) == refinement_key(dense)
+    pool += [sparse, dense]
+
+    pairs = {(g.canonical_key(), refinement_key(g)) for g in pool}
+    # equal new keys exactly when equal oracle keys: the pairs are a bijection
+    assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs})
+    assert len(pairs) < len(pool)
 
 
 def test_canonical_key_past_ten_vertices():
