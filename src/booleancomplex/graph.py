@@ -480,18 +480,23 @@ def tshape_graph(a, b, c):
 
 def isomorphism_classes(max_vertices):
     """One representative per isomorphism class on 1..max_vertices vertices:
-    the first of each class among edge subsets of 0..n-1, in binary order."""
-    seen = set()
+    the first of each class among edge subsets of 0..n-1, in binary order.
+    Each subset is keyed by its dense form, built from the mask; only a
+    class's first member becomes a ``Graph``."""
     out = []
     for n in range(1, max_vertices + 1):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        seen = set()
         for mask in range(1 << len(pairs)):
-            g = Graph(edges=[e for i, e in enumerate(pairs) if (mask >> i) & 1],
-                      vertices=range(n))
-            key = g.canonical_key()
+            form = [0] * n
+            for b in _bits(mask):
+                i, j = pairs[b]
+                form[i] |= 1 << j
+                form[j] |= 1 << i
+            key = _form_key(form)
             if key not in seen:
                 seen.add(key)
-                out.append(g)
+                out.append(Graph._from_adj(dict(enumerate(form))))
     return out
 
 

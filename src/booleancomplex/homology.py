@@ -4,13 +4,16 @@ Boundary maps are indexed by the ideal's cells in normal-form order; a
 rank-k cell has k+1 distinct facets, so every column has weight k+1 and the
 composite of consecutive boundaries vanishes mod 2.  Homology is reduced: the
 implicit empty cell contributes an augmentation row below rank 0.
-``boundary_columns`` reads each map off the ideal's face table, as
-``verify_cycle`` and the matching verifier do; no facet is derived here.
+``boundary_columns`` and ``verify_cycle`` take each column from the ideal's
+``face_masks``, read off the cell's element key, so no face table or normal
+form is built here.
 
 Columns are stored as Python-int bitsets; rank, kernel and reduced-echelon
 bases come from plain bitset Gaussian elimination.  The top boundary has no
 incoming differential, so its kernel is the top homology; its reduced-echelon
-basis is the canonical cycle basis reported here.
+basis is the canonical cycle basis reported here.  One elimination of the
+top boundary, ``gf2_kernel``, gives both that basis and the top rank of
+``betti_gf2``, and is kept on the ideal, so the two share it.
 
 A data file ships hand-derived generating cycles for the path-graph
 complexes on 2..6 vertices (cells written as bracketed strings, e.g.
@@ -62,11 +65,20 @@ def gf2_rank(columns):
 
 
 def gf2_kernel(columns):
-    """Kernel basis of the column map, as bitsets over column indices."""
+    """Kernel basis of the column map, as bitsets over column indices, in
+    reduced echelon form pivoting on lowest bits and sorted by pivot, the
+    form ``gf2_rref`` gives, so the basis is canonical.
+
+    Columns are eliminated from the last one down, each pivot column
+    carrying the set of columns it has absorbed, which by induction holds
+    pivot columns only.  So a column j that reduces to zero gives a kernel
+    vector with bit j, bits of later pivot columns, and no other free bit:
+    each pivots on its own free column, which no other one holds.
+    """
     pivots = {}
     kernel = []
-    for j, col in enumerate(columns):
-        combo = 1 << j
+    for j in range(len(columns) - 1, -1, -1):
+        col, combo = columns[j], 1 << j
         while col:
             p = col.bit_length() - 1
             if p not in pivots:
@@ -77,6 +89,7 @@ def gf2_kernel(columns):
             combo ^= pcombo
         else:
             kernel.append(combo)
+    kernel.reverse()  # by pivot, ascending
     return kernel
 
 
@@ -100,11 +113,19 @@ def gf2_rref(vectors):
 # the chain complex
 
 def boundary_columns(ideal, k):
-    """Columns of the rank-k boundary map as row bitsets, read from the
-    ideal's face table (k = 0 is the augmentation onto the empty cell)."""
+    """Columns of the rank-k boundary map as row bitsets: the ideal's face
+    masks (k = 0 is the augmentation onto the empty cell)."""
     if k == 0:
         return (1,) * len(ideal.ranks[0])
-    return tuple(sum(1 << i for i in faces) for faces in ideal.face_table(k))
+    return ideal.face_masks(k)
+
+
+def _top_cycles(ideal):
+    """The canonical top cycle basis as bitsets over the top cells, from one
+    elimination kept on the ideal."""
+    if ideal._top_cycles is None:
+        ideal._top_cycles = tuple(gf2_kernel(boundary_columns(ideal, ideal.top_rank)))
+    return ideal._top_cycles
 
 
 def betti_gf2(graph, budget=None):
@@ -112,7 +133,8 @@ def betti_gf2(graph, budget=None):
     ideal = enumerate_ideal(graph, budget)
     top = ideal.top_rank
     sizes = ideal.rank_sizes()
-    ranks = [gf2_rank(boundary_columns(ideal, k)) for k in range(top + 1)]
+    ranks = [gf2_rank(boundary_columns(ideal, k)) for k in range(top)]
+    ranks.append(sizes[top] - len(_top_cycles(ideal)))
     ranks.append(0)  # nothing above the top
     return tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
@@ -133,25 +155,28 @@ def top_cycle_basis(graph, budget=None):
     top = ideal.top_rank
     cells = ideal.ranks[top]
     # at top = 0 this is the reduced kernel of the augmentation
-    return [
-        Gf2Chain(top, frozenset(cells[i] for i in _bits(vec)))
-        for vec in gf2_rref(gf2_kernel(boundary_columns(ideal, top)))
-    ]
+    return [Gf2Chain(top, frozenset(cells[i] for i in _bits(vec)))
+            for vec in _top_cycles(ideal)]
 
 
 def verify_cycle(graph, chain, budget=None):
-    """True iff the chain's mod-2 boundary vanishes (reduced at rank 0)."""
+    """True iff the chain's mod-2 boundary vanishes (reduced at rank 0): the
+    columns of its own cells only, summed."""
     ideal = enumerate_ideal(graph, budget)
     k = chain.dimension
     if not 0 <= k <= ideal.top_rank:
         raise GraphError(f"chain dimension {k} out of range 0..{ideal.top_rank}")
-    cols = boundary_columns(ideal, k)
-    boundary = 0
+    keys = []
     for w in chain.support:
         i, r = ideal.flat_id(w), len(w) - 1
         if r != k:
             raise GraphError(f"cell {format_word(w)} has rank {r}, chain says {k}")
-        boundary ^= cols[i - ideal.offsets[k]]
+        keys.append(ideal.keys[i])
+    if k == 0:
+        return len(keys) % 2 == 0
+    boundary = 0
+    for col in ideal.face_masks(k, keys):
+        boundary ^= col
     return boundary == 0
 
 

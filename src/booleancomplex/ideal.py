@@ -215,14 +215,17 @@ class BooleanIdeal:
     ranks[r][0], so position j in rank r is flat id ``offsets[r] + j``.
     ``keys[i]`` is element i's key (see the module docstring), and one
     key-to-id lookup names the class of any word.  The face without a vertex
-    clears its bit, its field and its bit in every field.  Face tables are
-    built lazily per rank since several consumers only need the top one.
-    With ``is_cover`` they are the one face relation others read; both are
-    masks over keys, never a normalised word.
+    clears its bit, its field and its bit in every field; ``face_masks``
+    reads each key's faces that way, as the boundary columns of
+    ``homology``, which keeps its top cycle basis here so it goes with the
+    ideal.  Face tables, the same faces as sorted tuples for the matching
+    verifier, are built lazily per rank.  With ``is_cover`` they are the one
+    face relation others read; all are masks over keys, never a normalised
+    word.
     """
 
     __slots__ = ("graph", "ranks", "words", "keys", "offsets", "_ids", "_letters",
-                 "_vertex_bits", "_kill", "_faces")
+                 "_vertex_bits", "_kill", "_faces", "_top_cycles")
 
     def __init__(self, graph, ranks, keys, letters):
         self.graph = graph
@@ -241,6 +244,7 @@ class BooleanIdeal:
         }
         self.offsets = tuple(itertools.accumulate((len(words) for words in ranks), initial=0))
         self._faces = [None] * len(ranks)
+        self._top_cycles = None  # homology's top reduction, once computed
 
     def flat_id(self, word):
         try:
@@ -273,22 +277,39 @@ class BooleanIdeal:
             key |= bit | (nbr & key) << shift
         return self._ids[key]
 
+    def face_masks(self, r, keys=None):
+        """For each rank-r key (every rank-r element's by default), the
+        bitset of its face indices in rank r-1: the face without a vertex is
+        the key with that vertex killed, looked up once.  Every rank-r
+        element has exactly r+1 distinct faces."""
+        if not 1 <= r <= self.top_rank:
+            raise GraphError(f"rank {r} out of range 1..{self.top_rank}")
+        if keys is None:
+            keys = self.keys[self.offsets[r]:self.offsets[r + 1]]
+        ids, kill, vertex_bits = self._ids, self._kill, self._vertex_bits
+        base = self.offsets[r - 1]
+        masks = []
+        for key in keys:
+            mask = 0
+            rest = key & vertex_bits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                mask |= 1 << (ids[key & kill[low]] - base)
+            assert mask.bit_count() == r + 1, "faces of a cell must be distinct"
+            masks.append(mask)
+        return tuple(masks)
+
     def face_table(self, r):
         """For each rank-r element, the sorted tuple of its face indices in
-        rank r-1.  Every rank-r element has exactly r+1 distinct faces."""
+        rank r-1: its face mask's bits, lowest first."""
         if not 1 <= r <= self.top_rank:
             raise GraphError(f"rank {r} out of range 1..{self.top_rank}")
         if self._faces[r] is None:
-            ids, kill, letters = self._ids, self._kill, self._letters
-            base = self.offsets[r - 1]
             # one int object per face position, shared by every tuple
             position = list(range(len(self.ranks[r - 1])))
-            table = []
-            for w, key in zip(self.ranks[r], self.keys[self.offsets[r]:]):
-                faces = tuple(sorted(position[ids[key & kill[letters[x][0]]] - base] for x in w))
-                assert len(set(faces)) == r + 1, "faces of a cell must be distinct"
-                table.append(faces)
-            self._faces[r] = tuple(table)
+            self._faces[r] = tuple(tuple(position[i] for i in _bits(mask))
+                                   for mask in self.face_masks(r))
         return self._faces[r]
 
     def is_cover(self, lower, upper):

@@ -2,8 +2,11 @@
 
 The oracles here deliberately avoid the library's own fast paths: commutation
 classes are grown by breadth-first adjacent swaps, adjacency-pair membership
-by scanning every representative, isomorphism by networkx VF2, and canonical
-keys by colour refinement over whole colourings.
+by scanning every representative, isomorphism by networkx VF2, canonical
+keys by colour refinement over whole colourings, and mod-2 homology by
+boundary columns summed from the reference faces (a letter deleted and the
+rest normalised, never a key), with the cycle basis reduced from a kernel in
+a separate pass.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import networkx as nx
 
 from booleancomplex import Graph
 from booleancomplex.graph import _bits, isomorphism_classes
+from booleancomplex.homology import gf2_kernel, gf2_rank, gf2_rref
+from booleancomplex.ideal import word_faces
 
 
 def to_networkx(graph):
@@ -169,3 +174,23 @@ def refinement_key(graph):
 
     search(refine([len(nbrs[i]) for i in range(n)]))
     return bytes([n]) + best.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
+
+
+def word_face_columns(ideal):
+    """Every boundary map, rank 0 (the augmentation) to the top, as columns
+    each the sum of its cell's word faces' bits, so repeated faces would not
+    add up to the column."""
+    out = [(1,) * len(ideal.ranks[0])]
+    for below, cells in zip(ideal.ranks, ideal.ranks[1:]):
+        index = {w: i for i, w in enumerate(below)}
+        out.append(tuple(sum(1 << index[f] for f in word_faces(w, ideal.graph)) for w in cells))
+    return out
+
+
+def reduced_homology(columns):
+    """Reduced mod-2 Betti numbers from the rank of every boundary map, and
+    the top cycle basis as bitsets over the top cells: a kernel basis of the
+    top boundary, then its reduced echelon form."""
+    ranks = [gf2_rank(cols) for cols in columns] + [0]
+    betti = tuple(len(cols) - ranks[k] - ranks[k + 1] for k, cols in enumerate(columns))
+    return betti, gf2_rref(gf2_kernel(columns[-1]))

@@ -33,7 +33,7 @@ from booleancomplex.homology import (
     gf2_rref,
     load_an_generators,
 )
-from helpers import iso_classes, random_graph
+from helpers import iso_classes, random_graph, reduced_homology, word_face_columns
 
 A2 = Graph(edges=[(1, 2)])
 A3 = Graph(edges=[(1, 2), (2, 3)])
@@ -56,6 +56,8 @@ def test_gf2_helpers():
     assert gf2_rank(cols) == 2
     (combo,) = gf2_kernel(cols)
     assert combo == 0b111
+    # three equal columns: the reduced basis, not the first one found
+    assert gf2_kernel([0b1, 0b1, 0b1]) == [0b101, 0b110]
     assert gf2_rref([0b110, 0b011, 0b101]) == [0b101, 0b110]
 
 
@@ -81,7 +83,7 @@ def test_column_weights_are_rank_plus_one():
 
 def test_boundary_rank_out_of_range():
     with pytest.raises(GraphError):
-        boundary_columns(enumerate_ideal(A2), 2)  # face_table refuses the rank
+        boundary_columns(enumerate_ideal(A2), 2)  # face_masks refuses the rank
 
 
 def test_boundary_squares_to_zero():
@@ -156,14 +158,52 @@ def test_betti_concentrated_in_top_degree():
         assert bt[-1] == want == top_betti(g)
 
 
+def test_key_columns_and_top_reduction_match_the_word_face_oracle():
+    # every class on up to 6 vertices, then seeded G(7, 1/2) and G(8, 0.3)
+    rng = random.Random(127)
+    graphs = [*iso_classes(6), *(random_graph(rng, 7) for _ in range(4)),
+              *(random_graph(rng, 8, p=0.3) for _ in range(2))]
+    for g in graphs:
+        ideal = enumerate_ideal(g)
+        columns = word_face_columns(ideal)
+        assert [boundary_columns(ideal, k) for k in range(ideal.top_rank + 1)] == columns, g
+        cells = ideal.ranks[ideal.top_rank]
+        betti, cycles = reduced_homology(columns)
+        basis = [frozenset(cells[i] for i in _bits(v)) for v in cycles]
+        assert betti[-1] == len(basis) == top_betti(g)
+        # each order on a fresh ideal, each call twice, so a reduction kept
+        # on the wrong ideal or shared between calls would show
+        for basis_first in (False, True):
+            ideal_mod._enumerate.cache_clear()
+            for _ in range(2):
+                if basis_first:
+                    chains = top_cycle_basis(g)
+                    vector = betti_gf2(g)
+                else:
+                    vector = betti_gf2(g)
+                    chains = top_cycle_basis(g)
+                assert vector == betti, g
+                assert [c.support for c in chains] == basis, g
+                assert {c.dimension for c in chains} <= {ideal.top_rank}
+
+
 def test_kernel_dimension_satisfies_rank_nullity():
-    # two separate elimination routines must balance: nullity = cols - rank
+    # two separate elimination routines must balance: nullity = cols - rank;
+    # every vector must be a cycle and the basis already reduced, which the
+    # word-face oracle relies on
     rng = random.Random(113)
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 6))
         ideal = enumerate_ideal(g)
         cols = boundary_columns(ideal, ideal.top_rank)
-        assert len(gf2_kernel(cols)) == len(cols) - gf2_rank(cols)
+        kernel = gf2_kernel(cols)
+        assert len(kernel) == len(cols) - gf2_rank(cols)
+        for vec in kernel:
+            acc = 0
+            for j in _bits(vec):
+                acc ^= cols[j]
+            assert acc == 0
+        assert gf2_rref(kernel) == kernel
 
 
 def test_top_betti_matches_unmatched_count():
