@@ -15,7 +15,7 @@ one: the full-length classes on a vertex set are its acyclic orientations.
 and refuses an ideal over its budget before building any.  Both raise
 ``BudgetError`` exactly when the element count exceeds the budget, the only
 reason either refuses a graph.  A budget of None means ``DEFAULT_BUDGET`` to
-count and ``BUILD_BUDGET`` to build; built ideals are cached by graph alone.
+count and ``BUILD_BUDGET`` to build; only the last ideal built is kept.
 
 A class is a vertex set S plus an acyclic orientation of G[S]
 (Cartier-Foata): a letter points to every later neighbour in any
@@ -218,14 +218,13 @@ class BooleanIdeal:
     clears its bit, its field and its bit in every field; ``face_masks``
     reads each key's faces that way, as the boundary columns of
     ``homology``, which keeps its top cycle basis here so it goes with the
-    ideal.  Face tables, the same faces as sorted tuples for the matching
-    verifier, are built lazily per rank.  With ``is_cover`` they are the one
-    face relation others read; all are masks over keys, never a normalised
-    word.
+    ideal.  ``face_table`` gives the same faces as sorted tuples, derived
+    from the masks on each call.  With ``is_cover`` they are the one face
+    relation others read; all are masks over keys, never a normalised word.
     """
 
     __slots__ = ("graph", "ranks", "words", "keys", "offsets", "_ids", "_letters",
-                 "_vertex_bits", "_kill", "_faces", "_top_cycles")
+                 "_vertex_bits", "_kill", "_top_cycles")
 
     def __init__(self, graph, ranks, keys, letters):
         self.graph = graph
@@ -243,7 +242,6 @@ class BooleanIdeal:
             for bit, _, shift in letters.values()
         }
         self.offsets = tuple(itertools.accumulate((len(words) for words in ranks), initial=0))
-        self._faces = [None] * len(ranks)
         self._top_cycles = None  # homology's top reduction, once computed
 
     def flat_id(self, word):
@@ -303,14 +301,7 @@ class BooleanIdeal:
     def face_table(self, r):
         """For each rank-r element, the sorted tuple of its face indices in
         rank r-1: its face mask's bits, lowest first."""
-        if not 1 <= r <= self.top_rank:
-            raise GraphError(f"rank {r} out of range 1..{self.top_rank}")
-        if self._faces[r] is None:
-            # one int object per face position, shared by every tuple
-            position = list(range(len(self.ranks[r - 1])))
-            self._faces[r] = tuple(tuple(position[i] for i in _bits(mask))
-                                   for mask in self.face_masks(r))
-        return self._faces[r]
+        return tuple(tuple(_bits(mask)) for mask in self.face_masks(r))
 
     def is_cover(self, lower, upper):
         """Is ``lower`` a codimension-1 face of ``upper``?"""
@@ -327,19 +318,7 @@ def _over_budget(graph, budget):
     return BudgetError(f"ideal of {graph!r} exceeds the element budget ({budget})")
 
 
-def _fits_every_graph(n, budget):
-    """Does K_n's ideal fit the budget?  It has sum_k n!/(n-k)! elements, the
-    most of any graph on n vertices (an edge only splits classes)."""
-    total, words = 0, 1
-    for k in range(n):
-        words *= n - k  # words of length k + 1
-        total += words
-        if total > budget:
-            return False
-    return True
-
-
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _enumerate(graph):
     if len(graph) == 0:
         raise GraphError("the boolean ideal is defined for nonempty graphs")
@@ -369,18 +348,17 @@ _counted = {}  # exact element counts enumerate_ideal has taken, for at most 512
 
 
 def enumerate_ideal(graph, budget=None):
-    """All elements of every rank, deduplicated by normal form (cached by
-    graph).  The budget, ``BUILD_BUDGET`` when None, meets the exact count
-    first, taken once per graph."""
+    """All elements of every rank, deduplicated by normal form (the last ideal
+    built is kept).  The budget, ``BUILD_BUDGET`` when None, meets the exact
+    count first, taken once per graph."""
     if budget is None:
         budget = BUILD_BUDGET
-    if not _fits_every_graph(len(graph), budget):
-        if graph not in _counted:
-            if len(_counted) >= 512:
-                _counted.clear()
-            _counted[graph] = sum(rank_sizes(graph, budget))  # or BudgetError
-        if _counted[graph] > budget:
-            raise _over_budget(graph, budget)
+    if graph not in _counted:
+        if len(_counted) >= 512:
+            _counted.clear()
+        _counted[graph] = sum(rank_sizes(graph, budget))  # or BudgetError
+    if _counted[graph] > budget:
+        raise _over_budget(graph, budget)
     return _enumerate(graph)
 
 

@@ -234,13 +234,12 @@ def verify_acyclic(matching, ideal):
     # add(b, *a) puts each a before b: every edge goes in turned round, which
     # keeps each cycle and takes a cell's unmatched faces in one call
     sorter = graphlib.TopologicalSorter()
-    node = list(range(ideal.element_count()))  # one int object per id, shared by every edge
     for r in range(1, ideal.top_rank + 1):
         below = ideal.offsets[r - 1]
-        for up, faces in enumerate(ideal.face_table(r), ideal.offsets[r]):
+        for up, mask in enumerate(ideal.face_masks(r), ideal.offsets[r]):
             unmatched = []
-            for j in faces:
-                lo = node[below + j]
+            for j in _bits(mask):
+                lo = below + j
                 if (lo, up) in matched:
                     sorter.add(lo, up)
                 else:

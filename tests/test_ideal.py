@@ -22,6 +22,7 @@ from booleancomplex import (
     complete_graph,
     count_rank_path,
     cross_check,
+    cycle_graph,
     edgeless_graph,
     enumerate_ideal,
     euler_characteristic,
@@ -194,8 +195,8 @@ def test_every_build_refuses_k9_before_building(build, monkeypatch):
 
 
 def test_enumeration_counts_each_graph_once(monkeypatch):
-    # a 9-vertex graph is counted against the budget (K9 would not fit it),
-    # but a repeat call compares the budget with the count already made
+    # every graph is counted against the budget before it is built, but a
+    # repeat call compares the budget with the count already made
     counts = []
 
     def spy(graph, budget=None):
@@ -215,6 +216,40 @@ def test_enumeration_counts_each_graph_once(monkeypatch):
     with pytest.raises(BudgetError, match=rf"budget \({total - 1}\)"):
         enumerate_ideal(g, budget=total - 1)
     assert counts == []
+
+
+def test_build_budget_is_exact_on_small_graphs():
+    # the exact count decides on every graph, however small: a budget of
+    # exactly the element count builds and one less is refused
+    for g in [*iso_classes(5), path_graph(8), cycle_graph(8), complete_graph(7)]:
+        c = sum(rank_sizes(g))
+        assert enumerate_ideal(g, budget=c).element_count() == c, g
+        with pytest.raises(BudgetError, match=rf"budget \({c - 1}\)"):
+            enumerate_ideal(g, budget=c - 1)
+    for g in (path_graph(8), cycle_graph(8)):
+        assert enumerate_ideal(g).element_count() == sum(rank_sizes(g))
+
+
+def test_only_the_last_ideal_is_kept():
+    rng = random.Random(83)
+    for _ in range(10):
+        assert cross_check(random_graph(rng, 6)).agree
+    assert ideal_mod._enumerate.cache_info().currsize == 1
+    # betti_gf2 and top_cycle_basis share one build and its top reduction
+    g = random_graph(rng, 7)
+    misses = ideal_mod._enumerate.cache_info().misses
+    vector = betti_gf2(g)
+    first = top_cycle_basis(g)
+    assert ideal_mod._enumerate.cache_info().misses == misses + 1
+    ideal = enumerate_ideal(g)
+    enumerate_ideal(path_graph(3))
+    # g was evicted, so it is built again, to the same elements
+    rebuilt = enumerate_ideal(g)
+    assert rebuilt is not ideal
+    assert (rebuilt.keys, rebuilt.ranks) == (ideal.keys, ideal.ranks)
+    assert top_cycle_basis(g) == first
+    assert betti_gf2(g) == vector
+    assert ideal_mod._enumerate.cache_info().misses == misses + 3
 
 
 # ----------------------------------------------------------------------
