@@ -10,7 +10,9 @@ The classes form a ranked poset under subword order, with rank = length - 1.
 The empty word is the implicit rank -1 minimum: never stored, never a cell.
 
 ``rank_sizes`` and ``euler_characteristic`` count the classes without building
-one: the full-length classes on a vertex set are its acyclic orientations.
+one: the full-length classes on a vertex set are its acyclic orientations,
+(-1)^n chi(-1) by Stanley, which one packed recurrence reads off the
+partitions of every vertex set into independent blocks.
 ``enumerate_ideal`` builds every class, for the consumers that read words,
 and refuses an ideal over its budget before building any.  Both raise
 ``BudgetError`` exactly when the element count exceeds the budget, the only
@@ -44,8 +46,9 @@ from functools import lru_cache
 
 from .graph import GraphError, UnknownVertexError, _bits
 
-#: Elements counted before ``rank_sizes`` refuses (it holds one integer per
-#: vertex subset, so K9's 986,409 elements count in milliseconds).
+#: Elements counted before ``rank_sizes`` refuses (it holds one packed
+#: polynomial per vertex subset, counting that subset's partitions into
+#: independent blocks, so K9's 986,409 elements count in milliseconds).
 DEFAULT_BUDGET = 2_000_000
 
 #: Elements built before ``enumerate_ideal`` refuses: K8 (109,600) fits.
@@ -320,8 +323,6 @@ def _over_budget(graph, budget):
 
 @lru_cache(maxsize=1)
 def _enumerate(graph):
-    if len(graph) == 0:
-        raise GraphError("the boolean ideal is defined for nonempty graphs")
     # per letter: its bit, its neighbours' bits and the shift of its field
     letters = {v: (1 << p, nbr, len(graph) * (p + 1))
                for p, (v, nbr) in enumerate(zip(graph.vertices, graph.dense_form()))}
@@ -367,39 +368,57 @@ def enumerate_ideal(graph, budget=None):
 
 def _length_counts(comp, limit):
     """[1, f_0, f_1, ...] for a connected graph, or None once the classes
-    counted so far exceed ``limit``.
+    counted exceed ``limit``.
 
     The full-length classes on a vertex set S are the acyclic orientations
-    of G[S] (Cartier-Foata), counted by the source-set recurrence
-    a(S) = sum over nonempty independent I of S of (-1)^(|I|+1) a(S - I).
-    Subsets are bitmasks over ``comp``'s vertices in order, so every S - I
-    is filled in before S.
+    of G[S] (Cartier-Foata), and by Stanley ("Acyclic orientations of
+    graphs", 1973) there are a(S) = sum_j (-1)^(|S|-j) j! p_j(S) of them,
+    where p_j(S) counts the partitions of S into j independent blocks.  The
+    block holding S's top vertex v is v plus an independent J of S - N[v],
+    so p(S) = y * sum_J p(S - v - J) as polynomials in y.  Each p(S) is one
+    int at y = 2^w: a field holds at most Bell(m + 1), the partitions of
+    every subset together, so the sums over the subsets of one size add up
+    field by field without a carry.  Subsets are bitmasks over ``comp``'s
+    vertices in order, filled in vertex by vertex; the count, which only
+    grows, is checked as each vertex joins.
     """
     m = len(comp)
     nbr = {1 << p: mask for p, mask in enumerate(comp.dense_form())}
-    a = [1] * (1 << m)
-    counts = [1] + [0] * m
-    running = 0
-    for s in range(1, len(a)):
-        total = 0
-        # independent subsets of s, grown in increasing bit order
-        stack = [(s, 0, 1)]
-        while stack:
-            cand, chosen, sign = stack.pop()
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                sub = chosen | low
-                total += sign * a[s ^ sub]
-                rest = cand & ~nbr[low]
-                if rest:
-                    stack.append((rest, sub, -sign))
-        a[s] = total
-        counts[s.bit_count()] += total
-        running += total
-        if running > limit:
+    bell = [1]  # Bell(k + 1) = sum_i C(k, i) Bell(i)
+    for k in range(m + 1):
+        bell.append(sum(math.comb(k, i) * b for i, b in enumerate(bell)))
+    w = bell[m + 1].bit_length()
+    field = (1 << w) - 1
+    weights = [(-1) ** j * math.factorial(j) for j in range(m + 1)]
+
+    def signed(packed):  # a(S) = (-1)^|S| signed(p(S))
+        return sum(c * (packed >> j * w & field) for j, c in enumerate(weights))
+
+    p = [1] * (1 << m)
+    sums = [1] + [0] * m  # p(S) summed over |S| = k
+    for v in range(m):
+        top = 1 << v
+        free = ~nbr[top]
+        for s in range(top, top << 1):
+            rest = s ^ top
+            total = p[rest]
+            # the independent subsets J of rest - N(v), grown in increasing bit order
+            stack = [(rest & free, rest)]
+            while stack:
+                cand, left = stack.pop()
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    sub = left ^ low
+                    total += p[sub]
+                    more = cand & ~nbr[low]
+                    if more:
+                        stack.append((more, sub))
+            p[s] = total << w
+            sums[s.bit_count()] += p[s]
+        if signed(sum(sums[2::2])) - signed(sum(sums[1::2])) > limit:
             return None
-    return counts
+    return [(-1) ** k * signed(packed) for k, packed in enumerate(sums)]
 
 
 def rank_sizes(graph, budget=None):

@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the library's own fast paths: commutation
 classes are grown by breadth-first adjacent swaps, adjacency-pair membership
 by scanning every representative, isomorphism by networkx VF2, canonical
-keys by colour refinement over whole colourings, and mod-2 homology by
+keys by colour refinement over whole colourings, mod-2 homology by
 boundary columns summed from the reference faces (a letter deleted and the
 rest normalised, never a key), with the cycle basis reduced from a kernel in
-a separate pass.
+a separate pass, and rank counts by the source-set recurrence over every
+independent subset.
 """
 
 from __future__ import annotations
@@ -194,3 +195,32 @@ def reduced_homology(columns):
     ranks = [gf2_rank(cols) for cols in columns] + [0]
     betti = tuple(len(cols) - ranks[k] - ranks[k + 1] for k, cols in enumerate(columns))
     return betti, gf2_rref(gf2_kernel(columns[-1]))
+
+
+def source_set_counts(comp):
+    """[1, f_0, f_1, ...] for a connected graph by the source-set recurrence
+    a(S) = sum over nonempty independent I of S of (-1)^(|I|+1) a(S - I),
+    which counts the acyclic orientations of every induced subgraph G[S].
+    Subsets are bitmasks over ``comp``'s vertices in order, so every S - I
+    is filled in before S."""
+    m = len(comp)
+    nbr = {1 << p: mask for p, mask in enumerate(comp.dense_form())}
+    a = [1] * (1 << m)
+    counts = [1] + [0] * m
+    for s in range(1, len(a)):
+        total = 0
+        # independent subsets of s, grown in increasing bit order
+        stack = [(s, 0, 1)]
+        while stack:
+            cand, chosen, sign = stack.pop()
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                sub = chosen | low
+                total += sign * a[s ^ sub]
+                rest = cand & ~nbr[low]
+                if rest:
+                    stack.append((rest, sub, -sign))
+        a[s] = total
+        counts[s.bit_count()] += total
+    return counts

@@ -31,6 +31,7 @@ from booleancomplex import (
     path_graph,
     rank_sizes,
     representatives,
+    star_graph,
     top_betti,
     top_cycle_basis,
     trace_order,
@@ -46,6 +47,7 @@ from helpers import (
     iso_classes,
     random_graph,
     random_permutation_relabel,
+    source_set_counts,
 )
 
 A2 = Graph(edges=[(1, 2)])
@@ -290,6 +292,56 @@ def test_rank_sizes_budget_is_exact():
     assert rank_sizes(two_edges, budget=24) == (4, 8, 8, 4)
     with pytest.raises(BudgetError):
         rank_sizes(two_edges, budget=23)
+
+
+def _connected(graph):
+    return len(graph.components()) == 1
+
+
+def test_length_counts_match_the_source_set_oracle_on_six_vertices():
+    connected = [g for g in iso_classes(6) if _connected(g)]
+    assert len(connected) == 143
+    for g in connected:
+        assert ideal_mod._length_counts(g, 10 ** 30) == source_set_counts(g), g
+
+
+def test_length_counts_match_the_source_set_oracle_on_random_graphs():
+    rng = random.Random(26)
+    for n in range(9, 13):
+        for p in (0.2, 0.35, 0.5):
+            for _ in range(2):
+                for comp in random_graph(rng, n, p).components():
+                    assert ideal_mod._length_counts(comp, 10 ** 30) == (
+                        source_set_counts(comp)), comp
+
+
+def test_length_counts_match_the_source_set_oracle_on_families():
+    # sparse graphs have the most partitions into independent blocks, so
+    # they fill the widest fields of the packed sums
+    graphs = [f(n) for n in range(2, 15) for f in (path_graph, star_graph)]
+    graphs += [cycle_graph(n) for n in range(3, 15)]
+    graphs += [complete_graph(n) for n in range(1, 11)]
+    for g in graphs:
+        assert ideal_mod._length_counts(g, 10 ** 30) == source_set_counts(g), g
+
+
+def test_length_counts_refuse_exactly_past_the_limit():
+    # a connected 12-vertex graph whose count is checked as each vertex
+    # joins; the exact total lies past every earlier check
+    g = Graph(edges=[(i, i + 1) for i in range(11)] + [(0, 5), (3, 9), (2, 11)])
+    assert _connected(g)
+    total = sum(source_set_counts(g)) - 1
+    checks = [sum(source_set_counts(Graph(edges=[e for e in g.edges if max(e) < k],
+                                          vertices=range(k)))) - 1
+              for k in range(1, 12)]
+    assert checks == sorted(checks) and checks[-1] < total
+    counts = ideal_mod._length_counts(g, total)
+    assert counts == source_set_counts(g)
+    for limit in (total - 1, (checks[-1] + total) // 2, checks[-1], checks[5]):
+        assert ideal_mod._length_counts(g, limit) is None
+    assert sum(rank_sizes(g, budget=total)) == total
+    with pytest.raises(BudgetError):
+        rank_sizes(g, budget=total - 1)
 
 
 def test_counting_builds_no_element():
