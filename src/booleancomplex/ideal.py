@@ -26,9 +26,9 @@ ids) and gives each one int key that holds both.  With the vertices at
 positions p of ``graph.vertices`` (m of them), S is the low m bits and the
 field at shift m * (p + 1) holds p's in-neighbours, its earlier neighbours.
 Appending a letter, deleting one (a face) and testing a cover are mask
-operations on keys; ``normalize``, ``word_faces`` and
+operations on keys; ``normalize``, ``append_letter``, ``word_faces`` and
 ``admits_adjacent_pair`` remain the reference definitions the tests compare
-against.
+against.  Ranks come out in normal-form order by construction (``_enumerate``).
 
 >>> from booleancomplex.graph import path_graph
 >>> a3 = path_graph(3)                 # vertices 0-1-2, edges {0,1} and {1,2}
@@ -212,10 +212,10 @@ def format_word(word):
 class BooleanIdeal:
     """All commutation classes of a graph, grouped by rank, with face data.
 
-    ranks[r] lists the rank-r normal forms sorted lexicographically; a word's
-    rank is its length - 1.  An element's flat id is its position in
-    ``words``, the ranks laid end to end: ``offsets[r]`` is the flat id of
-    ranks[r][0], so position j in rank r is flat id ``offsets[r] + j``.
+    ranks[r] lists the rank-r normal forms in the lexicographic order they
+    are built in; a word's rank is its length - 1.  An element's flat id is
+    its position in ``words``, the ranks laid end to end: ``offsets[r]`` is
+    the flat id of ranks[r][0], so position j in rank r is ``offsets[r] + j``.
     ``keys[i]`` is element i's key (see the module docstring), and one
     key-to-id lookup names the class of any word.  The face without a vertex
     clears its bit, its field and its bit in every field; ``face_masks``
@@ -323,24 +323,24 @@ def _over_budget(graph, budget):
 
 @lru_cache(maxsize=1)
 def _enumerate(graph):
-    # per letter: its bit, its neighbours' bits and the shift of its field
+    # per letter, ascending: its bit, its neighbours' bits and its field's shift
     letters = {v: (1 << p, nbr, len(graph) * (p + 1))
                for p, (v, nbr) in enumerate(zip(graph.vertices, graph.dense_form()))}
     level = {bit: (v,) for v, (bit, _, _) in letters.items()}
     ranks, keys = [], []
     while level:
-        order = sorted(level, key=level.__getitem__)  # by normal form
-        ranks.append(tuple(level[key] for key in order))
-        keys.extend(order)
-        # append each free letter to each class; a class reached again is
-        # only keyed, so each normal form is built once
+        ranks.append(tuple(level.values()))
+        keys.extend(level)
+        # parents in normal-form order, letters ascending: w's prefixes are
+        # normal forms, and w <= NF(w - y) y for each maximal letter y, so
+        # (w[:-1], w[-1]) is the first pair to reach w, in normal-form order
         nxt = {}
-        for key in order:
+        for key, word in level.items():
             for x, (bit, nbr, shift) in letters.items():
                 if not key & bit:
                     grown = key | bit | (nbr & key) << shift
                     if grown not in nxt:
-                        nxt[grown] = append_letter(level[key], x, graph)
+                        nxt[grown] = word + (x,)
         level = nxt
     return BooleanIdeal(graph, tuple(ranks), tuple(keys), letters)
 

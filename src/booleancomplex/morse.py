@@ -88,10 +88,10 @@ def build_h_matching(graph, s, budget=None):
         raise UnknownVertexError(f"vertex {s} not in graph")
     ideal = enumerate_ideal(graph, budget)
     lower, upper, rank0, maximal = _Build(ideal)(graph, s, ideal.keys)
-    word = dict(zip(ideal.keys, ideal.words))
+    words, ids = ideal.words, ideal._ids
     return Matching(
-        graph, s, tuple((word[lo], word[up]) for lo, up in zip(lower, upper)),
-        word[rank0], tuple(sorted(word[k] for k in maximal)),
+        graph, s, tuple((words[ids[lo]], words[ids[up]]) for lo, up in zip(lower, upper)),
+        words[ids[rank0]], tuple(sorted(words[ids[k]] for k in maximal)),
     )
 
 

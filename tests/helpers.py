@@ -21,7 +21,7 @@ import networkx as nx
 from booleancomplex import Graph
 from booleancomplex.graph import _bits, isomorphism_classes
 from booleancomplex.homology import gf2_kernel, gf2_rank, gf2_rref
-from booleancomplex.ideal import word_faces
+from booleancomplex.ideal import enumerate_ideal, word_faces
 
 
 def to_networkx(graph):
@@ -177,14 +177,27 @@ def refinement_key(graph):
     return bytes([n]) + best.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
+@lru_cache(maxsize=None)
+def word_face_index(graph):
+    """For each rank r >= 1 of the graph's ideal, every cell's word faces
+    (a letter deleted and the rest normalised) as indices into rank r - 1,
+    in the cell's letter order; built once per graph, since the reference
+    faces normalise every face of every cell."""
+    ranks = enumerate_ideal(graph).ranks
+    out = []
+    for below, cells in zip(ranks, ranks[1:]):
+        index = {w: i for i, w in enumerate(below)}
+        out.append(tuple(tuple(index[f] for f in word_faces(w, graph)) for w in cells))
+    return tuple(out)
+
+
 def word_face_columns(ideal):
     """Every boundary map, rank 0 (the augmentation) to the top, as columns
     each the sum of its cell's word faces' bits, so repeated faces would not
     add up to the column."""
     out = [(1,) * len(ideal.ranks[0])]
-    for below, cells in zip(ideal.ranks, ideal.ranks[1:]):
-        index = {w: i for i, w in enumerate(below)}
-        out.append(tuple(sum(1 << index[f] for f in word_faces(w, ideal.graph)) for w in cells))
+    for faces in word_face_index(ideal.graph):
+        out.append(tuple(sum(1 << i for i in cell) for cell in faces))
     return out
 
 

@@ -7,6 +7,7 @@ oracles in helpers (breadth-first commuting swaps) and frozen here.
 
 import random
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,7 @@ from helpers import (
     random_graph,
     random_permutation_relabel,
     source_set_counts,
+    word_face_index,
 )
 
 A2 = Graph(edges=[(1, 2)])
@@ -162,7 +164,7 @@ def test_enumerate_rejects_empty_and_budget():
 
 def test_budget_stops_inside_a_rank(monkeypatch):
     # K6 has 6 vertices and 30 rank-1 words; budget 10 is refused by the
-    # exact count before the first word is extended
+    # exact count before the first word is extended or any ideal enumerated
     calls = []
 
     def counting(word, x, graph):
@@ -170,8 +172,10 @@ def test_budget_stops_inside_a_rank(monkeypatch):
         return append_letter(word, x, graph)
 
     monkeypatch.setattr(ideal_mod, "append_letter", counting)
+    misses = ideal_mod._enumerate.cache_info().misses
     with pytest.raises(BudgetError):
         enumerate_ideal(complete_graph(6), budget=10)
+    assert ideal_mod._enumerate.cache_info().misses == misses
     assert len(calls) == 0
 
 
@@ -465,33 +469,27 @@ def test_face_table_matches_word_faces():
     graphs = list(iso_classes(6)) + _relabelled_seven_vertex_graphs(61, 6)
     for g in graphs:
         ideal = enumerate_ideal(g)
-        for r in range(1, ideal.top_rank + 1):
-            below = {w: i for i, w in enumerate(ideal.ranks[r - 1])}
-            expected = tuple(
-                tuple(sorted(below[f] for f in word_faces(w, g)))
-                for w in ideal.ranks[r]
-            )
-            assert ideal.face_table(r) == expected
+        for r, faces in enumerate(word_face_index(g), start=1):
+            assert ideal.face_table(r) == tuple(tuple(sorted(cell)) for cell in faces)
 
 
-def test_enumeration_appends_once_per_class(monkeypatch):
-    calls = []
-
-    def counted(word, x, graph):
-        calls.append(word)
-        return append_letter(word, x, graph)
-
-    monkeypatch.setattr(ideal_mod, "append_letter", counted)
-    for g in [*iso_classes(4), *_relabelled_seven_vertex_graphs(67, 2)]:
-        calls.clear()
-        ideal = ideal_mod._enumerate.__wrapped__(g)
-        # one normal form built per element above rank 0, the rest keyed only
-        assert len(calls) == ideal.element_count() - len(ideal.ranks[0])
+def test_ranks_are_sorted_normal_forms_by_construction():
+    # the ranks built independently: every repetition-free word normalised,
+    # deduplicated and sorted per length, with no key involved
+    graphs = [*iso_classes(5), *_relabelled_seven_vertex_graphs(67, 2),
+              edgeless_graph(6), complete_graph(6)]
+    for g in graphs:
+        expected = tuple(
+            tuple(sorted({normalize(w, g) for w in permutations(g.vertices, k)}))
+            for k in range(1, len(g) + 1)
+        )
+        assert ideal_mod._enumerate.__wrapped__(g).ranks == expected, g
 
 
 def test_hot_paths_never_normalise(monkeypatch):
     # the reference definitions stay off every route: the routes read ids
-    for original in (ideal_mod.normalize, ideal_mod.admits_adjacent_pair):
+    for original in (ideal_mod.normalize, ideal_mod.append_letter,
+                     ideal_mod.admits_adjacent_pair):
         label = original.__name__
 
         def refuse(word, *args, label=label):
