@@ -345,21 +345,11 @@ def _enumerate(graph):
     return BooleanIdeal(graph, tuple(ranks), tuple(keys), letters)
 
 
-_counted = {}  # exact element counts enumerate_ideal has taken, for at most 512 graphs
-
-
 def enumerate_ideal(graph, budget=None):
-    """All elements of every rank, deduplicated by normal form (the last ideal
-    built is kept).  The budget, ``BUILD_BUDGET`` when None, meets the exact
-    count first, taken once per graph."""
-    if budget is None:
-        budget = BUILD_BUDGET
-    if graph not in _counted:
-        if len(_counted) >= 512:
-            _counted.clear()
-        _counted[graph] = sum(rank_sizes(graph, budget))  # or BudgetError
-    if _counted[graph] > budget:
-        raise _over_budget(graph, budget)
+    """All elements of every rank, deduplicated by normal form.  Every call
+    first counts the ideal exactly against the budget (``BUILD_BUDGET`` when
+    None); the last ideal built is kept, the only state held between calls."""
+    rank_sizes(graph, BUILD_BUDGET if budget is None else budget)  # or BudgetError
     return _enumerate(graph)
 
 

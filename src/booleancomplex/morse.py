@@ -34,9 +34,10 @@ reference), B(G/e) merges s and t in the block's keys, and B(G - e) forgets
 e's orientation in the rest.  Words are built once, at the root, and each
 cover check is a mask test on keys.  Both checkers take flat ids from one
 pass over a matching's pairs that refuses a non-cover: ``verify_acyclic``
-topologically sorts the whole reversed Hasse diagram with ``graphlib``, and
-``verify_h_properties`` reads one partner array, so a cell matched twice
-fails H1.
+topologically sorts the whole reversed Hasse diagram with ``graphlib``,
+asking ``face_masks`` for one cell's faces at a time so no rank's table is
+held, and ``verify_h_properties`` reads one partner array, so a cell matched
+twice fails H1.
 """
 
 from __future__ import annotations
@@ -225,9 +226,10 @@ def _pair_ids(matching, ideal):
 
 def verify_acyclic(matching, ideal):
     """True iff reversing the matched covers leaves the Hasse diagram free of
-    directed cycles.  The whole reversed diagram is handed to ``graphlib`` on
-    flat ids, an edge up along each matched cover and down along every other
-    face: a cell matched twice can close a cycle through three ranks.
+    directed cycles.  The reversed diagram goes to ``graphlib`` on flat ids,
+    one cell's faces at a time: an edge up along each matched cover and down
+    along every other face.  A cell matched twice can close a cycle through
+    three ranks.
     """
     matched = set(_pair_ids(matching, ideal))
 
@@ -236,9 +238,9 @@ def verify_acyclic(matching, ideal):
     sorter = graphlib.TopologicalSorter()
     for r in range(1, ideal.top_rank + 1):
         below = ideal.offsets[r - 1]
-        for up, mask in enumerate(ideal.face_masks(r), ideal.offsets[r]):
+        for up in range(ideal.offsets[r], ideal.offsets[r + 1]):
             unmatched = []
-            for j in _bits(mask):
+            for j in _bits(ideal.face_masks(r, (ideal.keys[up],))[0]):
                 lo = below + j
                 if (lo, up) in matched:
                     sorter.add(lo, up)

@@ -162,66 +162,48 @@ def test_enumerate_rejects_empty_and_budget():
         enumerate_ideal(A3, budget=11)
 
 
-def test_budget_stops_inside_a_rank(monkeypatch):
+def test_budget_stops_inside_a_rank():
     # K6 has 6 vertices and 30 rank-1 words; budget 10 is refused by the
-    # exact count before the first word is extended or any ideal enumerated
-    calls = []
-
-    def counting(word, x, graph):
-        calls.append(word)
-        return append_letter(word, x, graph)
-
-    monkeypatch.setattr(ideal_mod, "append_letter", counting)
+    # exact count before any ideal is enumerated
     misses = ideal_mod._enumerate.cache_info().misses
     with pytest.raises(BudgetError):
         enumerate_ideal(complete_graph(6), budget=10)
     assert ideal_mod._enumerate.cache_info().misses == misses
-    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("build", [
     enumerate_ideal, top_betti, betti_gf2, top_cycle_basis,
     lambda g: build_h_matching(g, 0),
 ], ids=["enumerate_ideal", "top_betti", "betti_gf2", "top_cycle_basis", "build_h_matching"])
-def test_every_build_refuses_k9_before_building(build, monkeypatch):
+def test_every_build_refuses_k9_before_building(build):
     # K9's 986,409 elements are over the building default; the count refuses
-    # them before any ideal is enumerated or any word is extended
-    calls = []
-
-    def counting(word, x, graph):
-        calls.append(word)
-        return append_letter(word, x, graph)
-
-    monkeypatch.setattr(ideal_mod, "append_letter", counting)
+    # them before any ideal is enumerated
     misses = ideal_mod._enumerate.cache_info().misses
     with pytest.raises(BudgetError, match=r"budget \(200000\)"):
         build(complete_graph(9))
     assert ideal_mod._enumerate.cache_info().misses == misses
-    assert calls == []
 
 
-def test_enumeration_counts_each_graph_once(monkeypatch):
-    # every graph is counted against the budget before it is built, but a
-    # repeat call compares the budget with the count already made
+def test_enumeration_counts_on_every_call(monkeypatch):
+    # every call, a repeat on the kept ideal too, counts the graph against
+    # its own budget: no count outlives the call that took it
     counts = []
 
     def spy(graph, budget=None):
-        counts.append(graph)
+        counts.append((graph, budget))
         return rank_sizes(graph, budget)
 
     monkeypatch.setattr(ideal_mod, "rank_sizes", spy)
     g = random_graph(random.Random(41), 9, p=0.3)
     total = sum(rank_sizes(g))
-    # a full table of counts is cleared before the next one is stored
-    monkeypatch.setattr(ideal_mod, "_counted", {i: 0 for i in range(512)})
     first = enumerate_ideal(g)
-    assert ideal_mod._counted == {g: total}
-    counts.clear()
+    assert counts == [(g, ideal_mod.BUILD_BUDGET)]
     assert enumerate_ideal(g) is first
     assert enumerate_ideal(g, budget=total) is first
+    assert counts[1:] == [(g, ideal_mod.BUILD_BUDGET), (g, total)]
     with pytest.raises(BudgetError, match=rf"budget \({total - 1}\)"):
         enumerate_ideal(g, budget=total - 1)
-    assert counts == []
+    assert counts[3:] == [(g, total - 1)]
 
 
 def test_build_budget_is_exact_on_small_graphs():

@@ -180,6 +180,24 @@ def test_reversal_digraph_agrees_with_verifier():
         assert ours == theirs == True  # noqa: E712
 
 
+def test_verify_acyclic_reads_one_cell_at_a_time(monkeypatch):
+    # no rank's face table is held: every face_masks call names one key
+    asked = []
+    face_masks = ideal_mod.BooleanIdeal.face_masks
+
+    def spy(self, r, keys=None):
+        asked.append(keys)
+        return face_masks(self, r, keys)
+
+    monkeypatch.setattr(ideal_mod.BooleanIdeal, "face_masks", spy)
+    for g in (complete_graph(5), random_graph(random.Random(61), 6)):
+        ideal = enumerate_ideal(g)
+        asked.clear()
+        assert verify_acyclic(build_h_matching(g, g.vertices[0]), ideal)
+        assert len(asked) == ideal.element_count() - len(ideal.ranks[0]), g
+        assert all(keys is not None and len(keys) == 1 for keys in asked), g
+
+
 def test_empty_matching_is_acyclic():
     ideal = enumerate_ideal(A3)
     empty = Matching(A3, 1, (), (1,), tuple(ideal.ranks[-1]))
