@@ -518,12 +518,9 @@ def parse_edge_list(text):
         if not line:
             continue
         parts = line.split()
-        try:
-            nums = [int(p) for p in parts]
-        except ValueError:
-            raise GraphError(f"line {lineno}: expected integer labels, got {line!r}") from None
-        if any(x < 0 for x in nums):
-            raise GraphError(f"line {lineno}: labels must be non-negative")
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise GraphError(f"line {lineno}: expected integer labels, got {line!r}")
+        nums = [int(p) for p in parts]
         if len(nums) == 1:
             singles.append(nums[0])
         elif len(nums) == 2:

@@ -54,11 +54,21 @@ def test_recursion_rejects_empty():
         beta_recursive(Graph())
 
 
-def test_recursion_refuses_past_the_interpreter_recursion_limit():
+def _under_frames(depth, call):
+    """``call()`` run beneath ``depth`` extra Python frames."""
+    return call() if depth == 0 else _under_frames(depth - 1, call)
+
+
+def test_recursion_refuses_no_graph_at_any_call_depth():
+    # deletions are walked in a loop, so K64 nests about 2n frames rather
+    # than one per deleted edge, and a deep caller gets the same answer
+    for n, calls in ((45, 2968), (46, 3103), (64, 6046)):
+        top = beta_recursive(complete_graph(n))
+        deep = _under_frames(800, lambda: beta_recursive(complete_graph(n)))
+        assert top.value == deep.value == beta_complete(n)
+        assert top.calls == deep.calls == calls
     memo = {}
-    with pytest.raises(BudgetError, match="recursion limit"):
-        beta_recursive(complete_graph(60), memo)
-    # entries are written only once their value is known, so the memo stays exact
+    assert beta_recursive(complete_graph(64), memo).value == beta_complete(64)
     assert beta_recursive(complete_graph(12), memo).value == beta_complete(12)
 
 
@@ -128,9 +138,13 @@ def test_recursion_keys_only_on_a_shared_degree_sequence(monkeypatch):
 
 
 def test_recursion_reaches_64_vertex_paths_and_cycles():
-    # paths and cycles are keyed by walking them, so this takes milliseconds
-    assert beta_recursive(cycle_graph(64)).value == beta_family("cycle:64")
-    assert beta_recursive(path_graph(64)).value == beta_family("A:64")
+    # paths and cycles are keyed by walking them, so this takes milliseconds,
+    # and a deep caller gets the same answer
+    for g, spec in ((cycle_graph(64), "cycle:64"), (path_graph(64), "A:64")):
+        top = beta_recursive(g)
+        deep = _under_frames(800, lambda: beta_recursive(g))
+        assert top.value == deep.value == beta_family(spec)
+        assert top.calls == deep.calls
 
 
 @st.composite
@@ -290,6 +304,10 @@ def test_family_closed_form_rejects_bad_specs():
         beta_family("E:5")
     with pytest.raises(FamilyError):
         beta_family("nonsense:3")
+    # only ASCII decimal digits name a rank
+    for spec in ("K:+5", "K:5_0", "K:\u0665", "K:-5", "K:"):
+        with pytest.raises(FamilyError, match="bad rank"):
+            resolve_family(spec)
 
 
 def test_cycle_count_closed_form():
@@ -426,8 +444,10 @@ def test_cross_check_skips_over_budget_methods():
     report = cross_check(complete_graph(7), budget=100)  # 13,699 elements
     assert report.skipped == ("euler", "homology", "morse")
     assert report.values == {"recursion": 1854, "subset_formula": 1854}
-    with pytest.raises(BudgetError, match="every route refused"):
-        cross_check(complete_graph(50))
+    # the recursion refuses no graph, so it alone reports past every budget
+    report = cross_check(complete_graph(50))
+    assert report.skipped == ("euler", "subset_formula", "homology", "morse")
+    assert report.values == {"recursion": beta_complete(50)}
 
 
 def test_five_routes_agree_past_seven_vertices():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from booleancomplex import beta_complete
 from booleancomplex import ideal as ideal_module
 from booleancomplex.cli import (
     EXIT_BUDGET,
@@ -154,13 +155,13 @@ def test_budget_binds_every_enumerating_command(capsys):
         assert "budget exceeded" in capsys.readouterr().err
 
 
-def test_recursion_past_the_interpreter_limit_is_a_budget_exit(capsys):
-    # K64's recursion runs deeper than Python allows, and every other route
-    # refuses K64 too, so crosscheck has nothing left to report
-    for argv in (["beta", "--method", "recursion"], ["crosscheck"]):
-        assert run(argv + ["--family", "K:64"]) == EXIT_BUDGET, argv
-        captured = capsys.readouterr()
-        assert captured.err.startswith("budget exceeded") and captured.out == ""
+def test_recursion_answers_k64_where_every_other_route_refuses(capsys):
+    # the recursion refuses no graph, so crosscheck reports it alone
+    code, data = run_json(capsys, ["beta", "--family", "K:64", "--method", "recursion"])
+    assert code == EXIT_OK and data["beta"] == {"recursion": beta_complete(64)}
+    code, data = run_json(capsys, ["crosscheck", "--family", "K:64"])
+    assert code == EXIT_OK and data["values"] == {"recursion": beta_complete(64)}
+    assert data["skipped"] == ["euler", "subset_formula", "homology", "morse"]
 
 
 def test_counting_commands_never_enumerate(capsys):
@@ -228,6 +229,7 @@ def test_family_spec_errors_name_the_fault(capsys):
     for spec, err in (
         ("Z:3", "unknown family 'Z'"),
         ("A:x", "bad rank in family spec 'A:x'"),
+        ("K:5_0", "bad rank in family spec 'K:5_0'"),
         ("A", "family A needs a rank, e.g. A:4"),
         ("E:5", "family E needs n in {6, 7, 8}, got 5"),
         ("A:0", "family A needs n >= 1, got 0"),
@@ -331,6 +333,7 @@ def test_missing_file_is_parse_error(capsys):
 
 def test_bad_edges_exit(capsys):
     assert run(["beta", "--edges", "one two"]) == EXIT_PARSE
+    assert run(["beta", "--edges", "1_0 2"]) == EXIT_PARSE
 
 
 def test_no_input_exit(capsys):

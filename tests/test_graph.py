@@ -450,6 +450,10 @@ def test_parse_edge_list_errors():
         parse_edge_list("4 4")
     with pytest.raises(GraphError):
         parse_edge_list("-1 2")
+    # only ASCII decimal digits are labels: no sign, underscore or other script
+    for text in ("+1 2", "1_0 2", "\u0663 1", "1 \uff12"):
+        with pytest.raises(GraphError, match="expected integer labels"):
+            parse_edge_list(text)
 
 
 def test_parse_edge_list_refuses_too_many_vertices():
