@@ -11,8 +11,8 @@ The empty word is the implicit rank -1 minimum: never stored, never a cell.
 
 ``rank_sizes`` and ``euler_characteristic`` count the classes without building
 one: the full-length classes on a vertex set are its acyclic orientations,
-(-1)^n chi(-1) by Stanley, which one packed recurrence reads off the
-partitions of every vertex set into independent blocks.
+which one ranked zeta transform counts from the independence polynomials of
+every vertex set, each packed into one int.
 ``enumerate_ideal`` builds every class, for the consumers that read words,
 and refuses an ideal over its budget before building any.  Both raise
 ``BudgetError`` exactly when the element count exceeds the budget, the only
@@ -47,8 +47,8 @@ from functools import lru_cache
 from .graph import GraphError, UnknownVertexError, _bits
 
 #: Elements counted before ``rank_sizes`` refuses (it holds one packed
-#: polynomial per vertex subset, counting that subset's partitions into
-#: independent blocks, so K9's 986,409 elements count in milliseconds).
+#: independence polynomial per vertex subset and divides by each one once,
+#: so K9's 986,409 elements count in milliseconds).
 DEFAULT_BUDGET = 2_000_000
 
 #: Elements built before ``enumerate_ideal`` refuses: K8 (109,600) fits.
@@ -360,55 +360,43 @@ def _length_counts(comp, limit):
     """[1, f_0, f_1, ...] for a connected graph, or None once the classes
     counted exceed ``limit``.
 
-    The full-length classes on a vertex set S are the acyclic orientations
-    of G[S] (Cartier-Foata), and by Stanley ("Acyclic orientations of
-    graphs", 1973) there are a(S) = sum_j (-1)^(|S|-j) j! p_j(S) of them,
-    where p_j(S) counts the partitions of S into j independent blocks.  The
-    block holding S's top vertex v is v plus an independent J of S - N[v],
-    so p(S) = y * sum_J p(S - v - J) as polynomials in y.  Each p(S) is one
-    int at y = 2^w: a field holds at most Bell(m + 1), the partitions of
-    every subset together, so the sums over the subsets of one size add up
-    field by field without a carry.  Subsets are bitmasks over ``comp``'s
-    vertices in order, filled in vertex by vertex; the count, which only
-    grows, is checked as each vertex joins.
+    The full-length classes on a vertex set S are the a(S) acyclic
+    orientations of G[S] (Cartier-Foata).  In the subset-convolution ring,
+    with iota the indicator of the nonempty independent sets, iota^k counts
+    ordered partitions into k independent blocks, so by Stanley (1973)
+    a(S) = (-1)^|S| (1 + iota)^(-1)(S).  Ranked zeta (Bjorklund, Husfeldt,
+    Kaski and Koivisto, "Fourier meets Mobius", 2007) sends 1 + iota at X to
+    the independence polynomial I_X(z), so a's is 1/I_X(-z) = sum_j q_j(X) z^j,
+    where q_j(X) counts the length-j traces on X, and Mobius inversion at
+    rank |S| gives a(S) = sum_(X <= S) (-1)^|S - X| q_|S|(X).  Over the sets
+    on the first n vertices, f_(j-1) = sum_k (-1)^(j-k) C(n-k, j-k) Q_j(k),
+    where Q_j(k) sums q_j(X) over |X| = k.
+
+    Sets are bitmasks over ``comp``'s m vertices, filled in vertex by vertex;
+    the count, which only grows, is checked as each vertex joins.  At
+    B = 2^w, r[X] = B^|X| I_X(-1/B) follows I_X = I_(X-v) + z I_(X-N[v]) for
+    X's top vertex v, and B^(m+|X|) / r[X] = sum_j q_j(X) B^(m-j).  As
+    B > 2^(m+1) m^(m+1) and q_j(X) <= |X|^j, the digits summed over one set
+    size stay below 2^m m^m < B, and the tail past j = m is at most
+    sum_(i>=1) m^(m+i) B^(-i) = m^(m+1) / (B - m) < 1: the floors are exact.
     """
     m = len(comp)
-    nbr = {1 << p: mask for p, mask in enumerate(comp.dense_form())}
-    bell = [1]  # Bell(k + 1) = sum_i C(k, i) Bell(i)
-    for k in range(m + 1):
-        bell.append(sum(math.comb(k, i) * b for i, b in enumerate(bell)))
-    w = bell[m + 1].bit_length()
-    field = (1 << w) - 1
-    weights = [(-1) ** j * math.factorial(j) for j in range(m + 1)]
-
-    def signed(packed):  # a(S) = (-1)^|S| signed(p(S))
-        return sum(c * (packed >> j * w & field) for j, c in enumerate(weights))
-
-    p = [1] * (1 << m)
-    sums = [1] + [0] * m  # p(S) summed over |S| = k
-    for v in range(m):
-        top = 1 << v
-        free = ~nbr[top]
-        for s in range(top, top << 1):
-            rest = s ^ top
-            total = p[rest]
-            # the independent subsets J of rest - N(v), grown in increasing bit order
-            stack = [(rest & free, rest)]
-            while stack:
-                cand, left = stack.pop()
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    sub = left ^ low
-                    total += p[sub]
-                    more = cand & ~nbr[low]
-                    if more:
-                        stack.append((more, sub))
-            p[s] = total << w
-            sums[s.bit_count()] += p[s]
-        if signed(sum(sums[2::2])) - signed(sum(sums[1::2])) > limit:
+    w = (m ** (m + 1)).bit_length() + m + 1
+    digit = (1 << w) - 1
+    r = [1] * (1 << m)
+    sums = [1 << m * w] + [0] * m  # B^(m+k) // r[X] summed over |X| = k
+    for v, nbr in enumerate(comp.dense_form()):
+        for x in range(1 << v, 2 << v):
+            rest = x - (1 << v)
+            r[x] = (r[rest] << w) - (r[rest & ~nbr] << (rest & nbr).bit_count() * w)
+            k = x.bit_count()
+            sums[k] += (1 << (m + k) * w) // r[x]
+        counts = [sum((-1) ** (j - k) * math.comb(v + 1 - k, j - k)
+                      * (sums[k] >> (m - j) * w & digit) for k in range(j + 1))
+                  for j in range(v + 2)]
+        if sum(counts) - 1 > limit:
             return None
-    return [(-1) ** k * signed(packed) for k, packed in enumerate(sums)]
+    return counts
 
 
 def rank_sizes(graph, budget=None):

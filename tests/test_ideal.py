@@ -5,6 +5,7 @@ Expected values marked by hand-enumeration were produced with the brute-force
 oracles in helpers (breadth-first commuting swaps) and frozen here.
 """
 
+import math
 import random
 import sys
 from itertools import permutations
@@ -311,23 +312,39 @@ def test_length_counts_match_the_source_set_oracle_on_families():
         assert ideal_mod._length_counts(g, 10 ** 30) == source_set_counts(g), g
 
 
+def test_length_counts_match_closed_forms_up_to_sixteen_vertices():
+    # K16's traces are the most numerous, so they fill the widest digits of
+    # the packed sums that these tests reach
+    for n in range(1, 17):
+        assert ideal_mod._length_counts(path_graph(n), 10 ** 30) == [
+            count_rank_path(n, k) for k in range(n + 1)], n
+        assert ideal_mod._length_counts(complete_graph(n), 10 ** 30) == [
+            math.comb(n, j) * math.factorial(j) for j in range(n + 1)], n
+        assert ideal_mod._length_counts(star_graph(n), 10 ** 30) == [1] + [
+            math.comb(n - 1, j) + math.comb(n - 1, j - 1) * 2 ** (j - 1)
+            for j in range(1, n + 1)], n
+
+
 def test_length_counts_refuse_exactly_past_the_limit():
-    # a connected 12-vertex graph whose count is checked as each vertex
-    # joins; the exact total lies past every earlier check
-    g = Graph(edges=[(i, i + 1) for i in range(11)] + [(0, 5), (3, 9), (2, 11)])
-    assert _connected(g)
-    total = sum(source_set_counts(g)) - 1
-    checks = [sum(source_set_counts(Graph(edges=[e for e in g.edges if max(e) < k],
-                                          vertices=range(k)))) - 1
-              for k in range(1, 12)]
-    assert checks == sorted(checks) and checks[-1] < total
-    counts = ideal_mod._length_counts(g, total)
-    assert counts == source_set_counts(g)
-    for limit in (total - 1, (checks[-1] + total) // 2, checks[-1], checks[5]):
-        assert ideal_mod._length_counts(g, limit) is None
-    assert sum(rank_sizes(g, budget=total)) == total
-    with pytest.raises(BudgetError):
-        rank_sizes(g, budget=total - 1)
+    # connected 12-vertex graphs whose count is checked as each vertex
+    # joins; the exact total lies past every earlier check, so a limit at
+    # any check is refused.  A star has the most independent sets.
+    path_with_chords = Graph(edges=[(i, i + 1) for i in range(11)]
+                             + [(0, 5), (3, 9), (2, 11)])
+    for g in (path_with_chords, star_graph(12)):
+        assert _connected(g)
+        total = sum(source_set_counts(g)) - 1
+        checks = [sum(source_set_counts(Graph(edges=[e for e in g.edges if max(e) < k],
+                                              vertices=range(k)))) - 1
+                  for k in range(1, 12)]
+        assert checks == sorted(checks) and checks[-1] < total
+        counts = ideal_mod._length_counts(g, total)
+        assert counts == source_set_counts(g)
+        for limit in (total - 1, (checks[-1] + total) // 2, *checks):
+            assert ideal_mod._length_counts(g, limit) is None, (g, limit)
+        assert sum(rank_sizes(g, budget=total)) == total
+        with pytest.raises(BudgetError):
+            rank_sizes(g, budget=total - 1)
 
 
 def test_counting_builds_no_element():
