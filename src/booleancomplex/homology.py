@@ -12,8 +12,13 @@ Columns are stored as Python-int bitsets; rank, kernel and reduced-echelon
 bases come from plain bitset Gaussian elimination.  The top boundary has no
 incoming differential, so its kernel is the top homology; its reduced-echelon
 basis is the canonical cycle basis reported here.  One elimination of the
-top boundary, ``gf2_kernel``, gives both that basis and the top rank of
-``betti_gf2``, and is kept on the ideal, so the two share it.
+top boundary gives that basis, the top rank of ``betti_gf2`` and the pivot
+rows that clear the rank below, and is kept on the ideal, so the two share
+it.  ``betti_gf2`` reduces the lower boundaries from the top down with
+clearing (Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011): a pivot row of boundary k+1 names a column of boundary k that
+its other columns already span, so it is never built.  On a wedge of top
+spheres that leaves only independent columns below the top.
 
 A data file ships hand-derived generating cycles for the path-graph
 complexes on 2..6 vertices (cells written as bracketed strings, e.g.
@@ -24,11 +29,12 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 
 from .beta import fibonacci
-from .graph import Graph, GraphError, _bits
+from .graph import Graph, GraphError
 from .ideal import (
     enumerate_ideal,
     format_word,
@@ -49,31 +55,41 @@ class Gf2Chain:
 # ----------------------------------------------------------------------
 # bitset elimination
 
-def gf2_rank(columns):
+def _reduce(columns):
+    """Column reduction pivoting on highest bits, first column first: the
+    reduced nonzero columns by pivot row, as many as the rank."""
     pivots = {}
-    rank = 0
     for col in columns:
         while col:
             p = col.bit_length() - 1
-            if p in pivots:
-                col ^= pivots[p]
-            else:
+            if p not in pivots:
                 pivots[p] = col
-                rank += 1
                 break
-    return rank
+            col ^= pivots[p]
+    return pivots
+
+
+def gf2_rank(columns):
+    return len(_reduce(columns))
 
 
 def gf2_kernel(columns):
     """Kernel basis of the column map, as bitsets over column indices, in
     reduced echelon form pivoting on lowest bits and sorted by pivot, the
-    form ``gf2_rref`` gives, so the basis is canonical.
+    form ``gf2_rref`` gives, so the basis is canonical."""
+    return _kernel(columns)[0]
 
-    Columns are eliminated from the last one down, each pivot column
-    carrying the set of columns it has absorbed, which by induction holds
-    pivot columns only.  So a column j that reduces to zero gives a kernel
-    vector with bit j, bits of later pivot columns, and no other free bit:
-    each pivots on its own free column, which no other one holds.
+
+def _kernel(columns):
+    """``gf2_kernel``'s basis, and the pivot rows (highest bits) of the
+    reduced columns as a compact array.
+
+    Columns are eliminated from the last one down, pivoting on highest bits,
+    each pivot column carrying the set of columns it has absorbed, which by
+    induction holds pivot columns only.  So a column j that reduces to zero
+    gives a kernel vector with bit j, bits of later pivot columns, and no
+    other free bit: each pivots on its own free column, which no other one
+    holds.
     """
     pivots = {}
     kernel = []
@@ -90,7 +106,7 @@ def gf2_kernel(columns):
         else:
             kernel.append(combo)
     kernel.reverse()  # by pivot, ascending
-    return kernel
+    return kernel, array("l", pivots)
 
 
 def gf2_rref(vectors):
@@ -120,22 +136,51 @@ def boundary_columns(ideal, k):
     return ideal.face_masks(k)
 
 
-def _top_cycles(ideal):
-    """The canonical top cycle basis as bitsets over the top cells, from one
-    elimination kept on the ideal."""
-    if ideal._top_cycles is None:
-        ideal._top_cycles = tuple(gf2_kernel(boundary_columns(ideal, ideal.top_rank)))
-    return ideal._top_cycles
+def _top_reduction(ideal):
+    """The canonical top cycle basis as bitsets over the top cells, and the
+    pivot rows of the top boundary's reduced columns, from one elimination
+    kept on the ideal."""
+    if ideal._top_reduction is None:
+        kernel, pivot_rows = _kernel(boundary_columns(ideal, ideal.top_rank))
+        ideal._top_reduction = tuple(kernel), pivot_rows
+    return ideal._top_reduction
+
+
+def _cleared_ranks(columns, k, cleared):
+    """Ranks of the boundaries 0..k of a chain complex, reduced from the top
+    down with clearing: ``columns(j, skip)`` gives boundary j's columns but
+    those indexed in ``skip``, and ``cleared`` holds the pivot rows of
+    boundary k+1's reduced columns (none above the top).
+
+    A reduced column of boundary j+1 with highest bit i is a j-chain that
+    bounds, so its boundary vanishes: column i of boundary j is the sum of
+    the columns at the chain's other cells, all below i.  By induction on i,
+    the columns left out lie in the span of those kept, so the rank is read
+    off the rest.
+    """
+    ranks = [0] * (k + 1)
+    for j in range(k, -1, -1):
+        cleared = set(_reduce(columns(j, cleared)))
+        ranks[j] = len(cleared)
+    return ranks
 
 
 def betti_gf2(graph, budget=None):
-    """Reduced mod-2 Betti numbers (b0, ..., b_top), augmentation included."""
+    """Reduced mod-2 Betti numbers (b0, ..., b_top), augmentation included.
+    The boundaries are reduced from the top down with Chen and Kerber's
+    clearing (see the module docstring): a column that a pivot row of the
+    boundary above clears is never built."""
     ideal = enumerate_ideal(graph, budget)
     top = ideal.top_rank
     sizes = ideal.rank_sizes()
-    ranks = [gf2_rank(boundary_columns(ideal, k)) for k in range(top)]
-    ranks.append(sizes[top] - len(_top_cycles(ideal)))
-    ranks.append(0)  # nothing above the top
+    cycles, pivot_rows = _top_reduction(ideal)
+
+    def columns(k, skip):
+        keys = ideal.keys[ideal.offsets[k]:ideal.offsets[k + 1]]
+        keys = [key for i, key in enumerate(keys) if i not in skip]
+        return ideal.face_masks(k, keys) if k else (1,) * len(keys)
+
+    ranks = [*_cleared_ranks(columns, top - 1, set(pivot_rows)), sizes[top] - len(cycles), 0]
     return tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
@@ -154,9 +199,16 @@ def top_cycle_basis(graph, budget=None):
     ideal = enumerate_ideal(graph, budget)
     top = ideal.top_rank
     cells = ideal.ranks[top]
+    chains = []
     # at top = 0 this is the reduced kernel of the augmentation
-    return [Gf2Chain(top, frozenset(cells[i] for i in _bits(vec)))
-            for vec in _top_cycles(ideal)]
+    for vec in _top_reduction(ideal)[0]:
+        support = []
+        while vec:  # highest bit first, inline: no negated copy of vec
+            p = vec.bit_length() - 1
+            vec ^= 1 << p
+            support.append(cells[p])
+        chains.append(Gf2Chain(top, frozenset(support)))
+    return chains
 
 
 def verify_cycle(graph, chain, budget=None):

@@ -220,14 +220,14 @@ class BooleanIdeal:
     key-to-id lookup names the class of any word.  The face without a vertex
     clears its bit, its field and its bit in every field; ``face_masks``
     reads each key's faces that way, as the boundary columns of
-    ``homology``, which keeps its top cycle basis here so it goes with the
-    ideal.  ``face_table`` gives the same faces as sorted tuples, derived
+    ``homology``, which keeps its top reduction (cycle basis and pivot
+    rows) here so it goes with the ideal.  ``face_table`` gives the same faces as sorted tuples, derived
     from the masks on each call.  With ``is_cover`` they are the one face
     relation others read; all are masks over keys, never a normalised word.
     """
 
     __slots__ = ("graph", "ranks", "words", "keys", "offsets", "_ids", "_letters",
-                 "_vertex_bits", "_kill", "_top_cycles")
+                 "_vertex_bits", "_kill", "_top_reduction")
 
     def __init__(self, graph, ranks, keys, letters):
         self.graph = graph
@@ -245,7 +245,7 @@ class BooleanIdeal:
             for bit, _, shift in letters.values()
         }
         self.offsets = tuple(itertools.accumulate((len(words) for words in ranks), initial=0))
-        self._top_cycles = None  # homology's top reduction, once computed
+        self._top_reduction = None  # homology's top reduction, once computed
 
     def flat_id(self, word):
         try:

@@ -1,5 +1,6 @@
 """Mod-2 boundary maps, Betti numbers, cycle bases, and stored fixtures."""
 
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from booleancomplex import (
 from booleancomplex import ideal as ideal_mod
 from booleancomplex.beta import cycle_count, fibonacci
 from booleancomplex.homology import (
+    _cleared_ranks,
     _parse_block,
     gf2_kernel,
     gf2_rank,
@@ -204,6 +206,56 @@ def test_kernel_dimension_satisfies_rank_nullity():
                 acc ^= cols[j]
             assert acc == 0
         assert gf2_rref(kernel) == kernel
+
+
+def test_betti_reads_only_the_columns_that_clearing_leaves(monkeypatch):
+    # below the top, rank k is asked for n_k - rank(boundary k+1) cells, and
+    # the top boundary is built once per ideal, in either call order
+    asked = []
+    face_masks = ideal_mod.BooleanIdeal.face_masks
+
+    def spy(self, r, keys=None):
+        asked.append((r, None if keys is None else len(keys)))
+        return face_masks(self, r, keys)
+
+    monkeypatch.setattr(ideal_mod.BooleanIdeal, "face_masks", spy)
+    rng = random.Random(131)
+    for g in (path_graph(5), cycle_graph(5), complete_graph(5), random_graph(rng, 7)):
+        ideal = enumerate_ideal(g)
+        sizes, top = ideal.rank_sizes(), ideal.top_rank
+        want = [(top, None)] + [(k, sizes[k] - gf2_rank(boundary_columns(ideal, k + 1)))
+                                for k in range(top - 1, 0, -1)]
+        for basis_first in (False, True):
+            ideal_mod._enumerate.cache_clear()
+            asked.clear()
+            if basis_first:
+                top_cycle_basis(g)
+            betti_gf2(g)
+            top_cycle_basis(g)
+            assert asked == want, (g, basis_first)
+
+
+def test_clearing_keeps_ranks_where_homology_lies_below_the_top():
+    # the 7-vertex torus has reduced mod-2 Betti numbers (0, 2, 1), so the
+    # cleared rank 1 keeps two cycles that bound nothing; cells in any order
+    triangles = [tuple(sorted({i, (i + d) % 7, (i + 3) % 7})) for d in (1, 2) for i in range(7)]
+    edges = sorted({e for t in triangles for e in itertools.combinations(t, 2)})
+    assert (len(edges), len(triangles)) == (21, 14)
+    rng = random.Random(139)
+    for _ in range(200):
+        cells = [list(range(7)), edges[:], triangles[:]]
+        for rank in cells:
+            rng.shuffle(rank)
+        columns = [[1] * 7]
+        for k in (1, 2):
+            row = {cell: i for i, cell in enumerate(cells[k - 1])}
+            faces = (itertools.combinations(c, k) if k > 1 else c for c in cells[k])
+            columns.append([sum(1 << row[f] for f in fs) for fs in faces])
+        ranks = [gf2_rank(cols) for cols in columns]
+        assert ranks == [1, 6, 13]
+        cleared = _cleared_ranks(
+            lambda k, skip: [c for i, c in enumerate(columns[k]) if i not in skip], 2, ())
+        assert cleared == ranks
 
 
 def test_top_betti_matches_unmatched_count():

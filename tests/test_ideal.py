@@ -303,8 +303,9 @@ def test_length_counts_match_the_source_set_oracle_on_random_graphs():
 
 
 def test_length_counts_match_the_source_set_oracle_on_families():
-    # sparse graphs have the most partitions into independent blocks, so
-    # they fill the widest fields of the packed sums
+    # the oracle recurs over independent subsets, the transform divides
+    # packed independence polynomials; sparse graphs have the most
+    # independent sets, so their polynomials have the most terms
     graphs = [f(n) for n in range(2, 15) for f in (path_graph, star_graph)]
     graphs += [cycle_graph(n) for n in range(3, 15)]
     graphs += [complete_graph(n) for n in range(1, 11)]
